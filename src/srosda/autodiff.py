@@ -275,15 +275,6 @@ def tsum(a, axis=None, keepdims=False):
     return Tensor(out_val, (a,), back)
 
 
-def tmean(a, axis=None, keepdims=False):
-    a = ensure(a)
-    if axis is None:
-        count = a.value.size
-    else:
-        count = a.value.shape[axis]
-    return div(tsum(a, axis=axis, keepdims=keepdims), float(count))
-
-
 def concat(tensors, axis=0):
     tensors = [ensure(t) for t in tensors]
     sizes = [t.value.shape[axis] for t in tensors]

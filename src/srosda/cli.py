@@ -7,13 +7,13 @@ stderr.
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import replace
 
 import numpy as np
 
 from . import dataio, evaluation, trainer
 from .dataio import SynthSpec
-from .exceptions import ConfigError, SrosdaError
+from .exceptions import SrosdaError
 from .model import load_checkpoint
 from .separation import dump_pseudo_state
 
@@ -23,25 +23,10 @@ PSEUDO_FILE = "pseudo.tsv"
 META_FILE = "train_meta.txt"
 
 
-def _load_synth_spec(path, seed_override=None):
-    known = {f.name for f in fields(SynthSpec)}
-    kwargs = {}
-    for key, value in dataio.read_kv(path):
-        if key not in known:
-            raise ConfigError(f"unknown synth spec key {key!r}")
-        if key in ("k_s", "k", "d_x", "d_a", "n_source_per_class",
-                   "n_target_per_class", "min_attr_hamming",
-                   "unseen_flip_bits", "seed"):
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = float(value)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    return SynthSpec(**kwargs)
-
-
 def cmd_synth(args):
-    spec = _load_synth_spec(args.spec, args.seed)
+    spec = dataio.read_dataclass(args.spec, SynthSpec)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
     source, target = dataio.synth_generate(spec)
     dataio.save_dataset(source, target, args.out)
     if not args.quiet:

@@ -13,12 +13,13 @@ training-path code never sees them.
 
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .exceptions import ContractError, DataError, FormatError, GenerationError
+from .exceptions import (ConfigError, ContractError, DataError, FormatError,
+                         GenerationError)
 from .numkernel import check_finite, make_rng
 
 FEATURE_MAGIC = b"SROS"
@@ -395,7 +396,7 @@ def load_target(data_dir, with_eval=False):
 
 
 # ---------------------------------------------------------------------------
-# key = value files (reports, configs)
+# key = value files (reports, configs, specs)
 
 def write_kv(pairs, path):
     """Write ``key = value`` lines; deterministic byte-for-byte output."""
@@ -416,3 +417,36 @@ def read_kv(path):
             key, _, value = line.partition("=")
             pairs.append((key.strip(), value.strip()))
     return pairs
+
+
+def _parse_bool(text):
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
+
+
+_FIELD_PARSERS = {int: int, float: float, bool: _parse_bool}
+
+
+def read_dataclass(path, cls):
+    """An instance of dataclass ``cls`` from a ``key = value`` file.
+
+    Each value is parsed by its field's type: ``int``, ``float``, or ``bool``
+    written ``true``/``false``. Unknown keys, malformed values and missing
+    required fields raise ConfigError.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in read_kv(path):
+        if key not in types:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+        try:
+            kwargs[key] = _FIELD_PARSERS[types[key]](value)
+        except ValueError:
+            raise ConfigError(f"{path}: {key} = {value!r} is not a valid "
+                              f"{types[key].__name__}") from None
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{path}: missing required key(s) {', '.join(missing)}")
+    return cls(**kwargs)

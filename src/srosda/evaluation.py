@@ -62,24 +62,27 @@ def attribute_pr(a_hat, a_true, threshold=0.5):
     return precision, recall
 
 
-def _joint_features(params: ModelParams, features, use_fusion=True):
+def joint_features(params: ModelParams, features, use_fusion=True):
+    """(f, a_hat): G_A's raw attribute prediction a_hat for each row and the
+    joint feature f = z (+) a_hat, whose attribute part is zero without
+    fusion. ``compute_report`` runs it once for all three metrics."""
     z = forward_gz(params, features)
     a_hat = forward_ga(params, z)
     tail = a_hat if use_fusion else np.zeros_like(a_hat)
     return np.hstack([z, tail]), a_hat
 
 
-def eval_openset(params: ModelParams, target: TargetDataset, use_fusion=True):
-    """C's argmax over the predicted-attribute joint feature; class k_s is
-    'unknown'. Returns (os, os_star, os_diamond, confusion) where the
-    confusion matrix resolves all k_t true classes against k_s+1 predictions.
+def eval_openset(params: ModelParams, target: TargetDataset, f):
+    """C's argmax over the joint features ``f`` (see ``joint_features``);
+    class k_s is 'unknown'. Returns (os, os_star, os_diamond, confusion)
+    where the confusion matrix resolves all k_t true classes against k_s+1
+    predictions.
     """
     if target.eval_data is None:
         raise ProtocolError("open-set evaluation requires target eval labels")
     labels = target.eval_data.labels
     k_s = params.k_s
     k_t = target.eval_data.attr_table_full.shape[0]
-    f, _ = _joint_features(params, target.features, use_fusion)
     pred = np.argmax(forward_c(params, f), axis=1)
 
     confusion = np.zeros((k_t, k_s + 1), dtype=np.int64)
@@ -98,10 +101,11 @@ def eval_openset(params: ModelParams, target: TargetDataset, use_fusion=True):
     return os_val, os_star, os_diamond, confusion
 
 
-def eval_semantic(params: ModelParams, target: TargetDataset, use_fusion=True):
-    """Two-stage semantic recovery: D routes each sample to the seen or unseen
-    attribute rows, then the raw attribute prediction is classified
-    prototypically (cosine) against the routed rows. Returns (s, u, h)."""
+def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
+    """Two-stage semantic recovery: D routes each joint feature in ``f`` to
+    the seen or unseen attribute rows, then the raw attribute prediction
+    ``a_hat`` is classified prototypically (cosine) against the routed rows.
+    Returns (s, u, h)."""
     if target.eval_data is None:
         raise ProtocolError("semantic evaluation requires target eval labels")
     labels = target.eval_data.labels
@@ -110,7 +114,6 @@ def eval_semantic(params: ModelParams, target: TargetDataset, use_fusion=True):
     k_t = table.shape[0]
     if k_t <= k_s:
         raise ProtocolError("full attribute table must cover unseen classes")
-    f, a_hat = _joint_features(params, target.features, use_fusion)
     d_probs = forward_d(params, f)
     says_unseen = np.argmax(d_probs, axis=1) == 1
 
@@ -137,11 +140,9 @@ def eval_semantic(params: ModelParams, target: TargetDataset, use_fusion=True):
     return s, u, harmonic_mean(s, u)
 
 
-def attribute_pr_all(params: ModelParams, target: TargetDataset, threshold=0.5):
+def attribute_pr_all(target: TargetDataset, a_hat, threshold=0.5):
     if target.eval_data is None:
         raise ProtocolError("attribute evaluation requires target eval data")
-    z = forward_gz(params, target.features)
-    a_hat = forward_ga(params, z)
     table = target.eval_data.attr_table_full
     return [attribute_pr(a_hat[i], table[target.eval_data.labels[i]], threshold)
             for i in range(a_hat.shape[0])]
@@ -152,10 +153,10 @@ def compute_report(params: ModelParams, target: TargetDataset, tau, epochs,
                    seed, use_fusion=True, with_attr_pr=True) -> MetricsReport:
     """Open-set, semantic and (optionally) attribute metrics of ``params`` on
     ``target``, with BLAS pinned to one thread (see ``single_blas_thread``)."""
-    os_val, os_star, os_diamond, confusion = eval_openset(params, target,
-                                                          use_fusion)
-    s, u, h = eval_semantic(params, target, use_fusion)
-    attr_pr = attribute_pr_all(params, target) if with_attr_pr else []
+    f, a_hat = joint_features(params, target.features, use_fusion)
+    os_val, os_star, os_diamond, confusion = eval_openset(params, target, f)
+    s, u, h = eval_semantic(params, target, f, a_hat)
+    attr_pr = attribute_pr_all(target, a_hat) if with_attr_pr else []
     return MetricsReport(os=os_val, os_star=os_star, os_diamond=os_diamond,
                          s=s, u=u, h=h, confusion=confusion, tau=float(tau),
                          epochs=int(epochs), seed=int(seed), attr_pr=attr_pr)

@@ -5,9 +5,9 @@ G_A: 512 -> 256 -> d_a (ReLU hidden, logistic output)
 C:   (512 + d_a) -> 256 -> k_s + 1
 D:   (512 + d_a) -> 256 -> 2
 
-Plain numpy forwards are the reference implementations; tape_* variants build
-the same computation on autodiff tensors for training. Weights initialize
-uniform(+-sqrt(6 / fan_in)), biases zero.
+Each network has one forward definition, ``tape_forward_*``, built on autodiff
+tensors; ``forward_*`` validate their input and return that forward's value.
+Weights initialize uniform(+-sqrt(6 / fan_in)), biases zero.
 """
 
 import struct
@@ -55,9 +55,6 @@ class ModelParams:
     def copy(self):
         return ModelParams({k: v.copy() for k, v in self.arrays.items()})
 
-    def flat_size(self):
-        return sum(v.size for v in self.arrays.values())
-
 
 def _layer_shapes(d_x, d_a, k_s):
     joint = Z_DIM + d_a
@@ -88,88 +85,7 @@ def init_params(d_x, d_a, k_s, seed=0) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# plain forwards
-
-def _check_input(x, dim, what):
-    x = check_finite(x, what)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ContractError(f"{what} must be (n, {dim}), got {x.shape}")
-    return x
-
-
-def forward_gz(params: ModelParams, x):
-    x = _check_input(x, params.d_x, "G_Z input")
-    a = params.arrays
-    h = np.maximum(x @ a["gz_w1"] + a["gz_b1"], 0.0)
-    return h @ a["gz_w2"] + a["gz_b2"]
-
-
-def forward_ga(params: ModelParams, z):
-    z = _check_input(z, Z_DIM, "G_A input")
-    a = params.arrays
-    h = np.maximum(z @ a["ga_w1"] + a["ga_b1"], 0.0)
-    logits = h @ a["ga_w2"] + a["ga_b2"]
-    e = np.exp(-np.abs(logits))
-    return np.where(logits >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def forward_c(params: ModelParams, f):
-    f = _check_input(f, Z_DIM + params.d_a, "C input")
-    a = params.arrays
-    h = np.maximum(f @ a["c_w1"] + a["c_b1"], 0.0)
-    return h @ a["c_w2"] + a["c_b2"]
-
-
-def forward_d(params: ModelParams, f):
-    """Softmaxed (seen, unseen) probability pairs; rows sum to 1."""
-    f = _check_input(f, Z_DIM + params.d_a, "D input")
-    a = params.arrays
-    h = np.maximum(f @ a["d_w1"] + a["d_b1"], 0.0)
-    logits = h @ a["d_w2"] + a["d_b2"]
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
-
-
-def fuse(z, a):
-    """Joint feature z (+) a; attribute entries must lie in [0, 1]."""
-    z = np.asarray(z, dtype=np.float64).ravel()
-    a = np.asarray(a, dtype=np.float64).ravel()
-    if z.shape[0] != Z_DIM:
-        raise ContractError(f"z must have length {Z_DIM}")
-    if a.size and (a.min() < 0.0 or a.max() > 1.0):
-        raise ContractError("attribute entries must lie in [0, 1]")
-    return np.concatenate([z, a])
-
-
-def split_joint(f, d_a):
-    f = np.asarray(f, dtype=np.float64).ravel()
-    return f[:Z_DIM], f[Z_DIM:Z_DIM + d_a]
-
-
-def joint_feature_sets(kind, z, gt_attr=None, pseudo_attr=None, pred_attr=None):
-    """The joint-feature set for one sample.
-
-    source       -> [z + gt,      z + predicted]
-    target-seen  -> [z + pseudo,  z + predicted]
-    target-unseen-> [z + predicted]
-    """
-    if pred_attr is None:
-        raise ContractError("pred_attr is required for every sample kind")
-    if kind == "source":
-        if gt_attr is None:
-            raise ContractError("source samples need gt_attr")
-        return [fuse(z, gt_attr), fuse(z, pred_attr)]
-    if kind == "target-seen":
-        if pseudo_attr is None:
-            raise ContractError("target-seen samples need pseudo_attr")
-        return [fuse(z, pseudo_attr), fuse(z, pred_attr)]
-    if kind == "target-unseen":
-        return [fuse(z, pred_attr)]
-    raise ContractError(f"unknown sample kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# tape forwards
+# forwards
 
 def param_tensors(params: ModelParams) -> Dict[str, ad.Tensor]:
     return {name: ad.Tensor(arr) for name, arr in params.arrays.items()}
@@ -195,6 +111,36 @@ def tape_forward_c(pt, f):
 
 def tape_forward_d_logits(pt, f):
     return _affine(pt, ad.relu(_affine(pt, f, "d_w1", "d_b1")), "d_w2", "d_b2")
+
+
+def _check_input(x, dim, what):
+    x = check_finite(x, what)
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ContractError(f"{what} must be (n, {dim}), got {x.shape}")
+    return x
+
+
+def forward_gz(params: ModelParams, x):
+    x = _check_input(x, params.d_x, "G_Z input")
+    return tape_forward_gz(param_tensors(params), x).value
+
+
+def forward_ga(params: ModelParams, z):
+    z = _check_input(z, Z_DIM, "G_A input")
+    return tape_forward_ga(param_tensors(params), z).value
+
+
+def forward_c(params: ModelParams, f):
+    f = _check_input(f, Z_DIM + params.d_a, "C input")
+    return tape_forward_c(param_tensors(params), f).value
+
+
+def forward_d(params: ModelParams, f):
+    """Softmaxed (seen, unseen) probability pairs; rows sum to 1."""
+    f = _check_input(f, Z_DIM + params.d_a, "D input")
+    logits = tape_forward_d_logits(param_tensors(params), f).value
+    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

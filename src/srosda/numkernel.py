@@ -1,5 +1,5 @@
-"""Deterministic numeric substrate: distances, softmax, variance, small dense
-inverses, seeded RNG construction and a scoped BLAS single-thread pin.
+"""Deterministic numeric substrate: distances, variance, small dense inverses,
+seeded RNG construction and a scoped BLAS single-thread pin.
 
 Everything here is pure and double precision. Reductions rely on numpy's
 fixed left-to-right summation so repeated runs agree bitwise.
@@ -16,10 +16,6 @@ from .exceptions import ContractError, DataError, SingularMatrixError
 MAX_INVERSE_SIZE = 512
 CONDITION_LIMIT = 1e12
 ZERO_NORM_EPS = 1e-12
-
-
-class DegenerateInputWarning(UserWarning):
-    """Signals a near-zero-norm vector fed to a cosine distance."""
 
 
 def make_rng(seed):
@@ -112,34 +108,6 @@ def pairwise_sq_dist(m):
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
-
-
-def cosine_dist(u, v):
-    """1 - cos(u, v), in [0, 2]. Near-zero-norm inputs yield the neutral
-    distance 1.0 and a DegenerateInputWarning instead of NaN."""
-    u = check_finite(u, "u").ravel()
-    v = check_finite(v, "v").ravel()
-    if u.shape != v.shape:
-        raise ContractError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < ZERO_NORM_EPS or nv < ZERO_NORM_EPS:
-        warnings.warn("near-zero-norm vector in cosine_dist; returning neutral "
-                      "distance 1.0", DegenerateInputWarning, stacklevel=2)
-        return 1.0
-    c = float(np.dot(u, v) / (nu * nv))
-    return float(np.clip(1.0 - c, 0.0, 2.0))
-
-
-def softmax_neg(values):
-    """exp(-v_c) / sum_c' exp(-v_c'), computed with max-subtraction so large
-    distances do not overflow."""
-    values = check_finite(values, "values").ravel()
-    if values.size == 0:
-        raise ContractError("softmax_neg requires a non-empty vector")
-    shifted = -(values - values.min())
-    e = np.exp(shifted)
-    return e / e.sum()
 
 
 def variance(values):

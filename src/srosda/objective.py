@@ -214,9 +214,6 @@ def loss_classifier_t(logits, labels):
     return ad.tsum(ad.softmax_cross_entropy(logits, labels)) / float(labels.size)
 
 
-loss_binary_t = loss_classifier_t  # D is a 2-logit softmax head
-
-
 def total_objective(l_c, l_d, l_r_source, l_r_target, l_a, lambda1, lambda2):
     """Combine already-computed parts into the scalar objective and report."""
     total = l_c + l_d + lambda1 * (l_r_source + l_r_target) + lambda2 * l_a
@@ -301,8 +298,9 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
         if unseen_idx.size:
             d_feats.append(joint(zt_unseen, ahat_unseen, unseen_idx.size))
             d_labels.append(np.ones(unseen_idx.size))
-        l_d = loss_binary_t(tape_forward_d_logits(pt, ad.concat(d_feats, axis=0)),
-                            np.concatenate(d_labels))
+        l_d = loss_classifier_t(
+            tape_forward_d_logits(pt, ad.concat(d_feats, axis=0)),
+            np.concatenate(d_labels))
     else:
         l_d = ad.Tensor(0.0)
 

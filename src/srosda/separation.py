@@ -92,13 +92,6 @@ def predict_all(x, protos):
     return labels, conf, probs
 
 
-def prototype_predict(x, protos):
-    """Single-sample variant of predict_all."""
-    labels, conf, probs = predict_all(np.asarray(x, dtype=np.float64)[None, :],
-                                      np.asarray(protos, dtype=np.float64))
-    return int(labels[0]), float(conf[0]), probs[0]
-
-
 def split_seen_unseen(confidences):
     """tau = mean confidence; samples at or above tau are seen."""
     confidences = np.asarray(confidences, dtype=np.float64)

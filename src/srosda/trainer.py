@@ -20,12 +20,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dataio import SourceDataset, read_kv, write_kv
+from .dataio import SourceDataset, read_dataclass, write_kv
 from .exceptions import ConfigError, TrainingError
 from .model import ModelParams, forward_gz, init_params, save_checkpoint
-from .numkernel import make_rng, single_blas_thread
+from .numkernel import MAX_INVERSE_SIZE, make_rng, single_blas_thread
 from .objective import (BatchLossReport, ObjectiveConfig, TrainBatch,
-                        ZPrototypes, compute_z_prototypes, objective_grads)
+                        ZPrototypes, compute_z_prototypes, objective_grads,
+                        total_objective)
 from .separation import PseudoState, SeparationConfig, run_progressive_separation
 
 
@@ -55,6 +56,9 @@ class TrainConfig:
             raise ConfigError("lr, epochs and k must be positive")
         if self.refresh_period < 1:
             raise ConfigError("refresh_period must be >= 1")
+        if self.use_prop and self.batch_size > MAX_INVERSE_SIZE:
+            raise ConfigError(f"batch_size must be <= {MAX_INVERSE_SIZE} with "
+                              "use_prop (the propagation inverse limit)")
 
     def objective(self) -> ObjectiveConfig:
         return ObjectiveConfig(lambda1=self.lambda1, lambda2=self.lambda2,
@@ -80,24 +84,7 @@ def save_config(cfg: TrainConfig, path):
 
 
 def load_config(path) -> TrainConfig:
-    known = {f.name: f.type for f in fields(TrainConfig)}
-    kwargs = {}
-    for key, value in read_kv(path):
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in ("k", "epochs", "batch_size", "seed", "refresh_period",
-                   "separation_rounds"):
-            kwargs[key] = int(value)
-        elif key in ("use_lr", "use_ld", "use_prop", "use_fusion",
-                     "quantile_fallback"):
-            if value not in ("true", "false"):
-                raise ConfigError(f"boolean key {key} must be true/false")
-            kwargs[key] = value == "true"
-        else:
-            kwargs[key] = float(value)
-    if "k" not in kwargs:
-        raise ConfigError("config must set k (number of unseen clusters)")
-    cfg = TrainConfig(**kwargs)
+    cfg = read_dataclass(path, TrainConfig)
     cfg.validate()
     return cfg
 
@@ -165,7 +152,7 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
         raise ConfigError(f"unknown separation space {space!r}")
     state = run_progressive_separation(src_feats, source.labels, source.k_s,
                                        tgt_feats, cfg.separation())
-    z_t = forward_gz(params, target_features)
+    z_t = tgt_feats if space == "z" else forward_gz(params, target_features)
     rz = compute_z_prototypes(z_t, state.pseudo_label, source.k_s + cfg.k)
     pseudo_attrs = np.zeros((tgt_feats.shape[0], source.d_a))
     seen = state.seen_mask
@@ -228,12 +215,7 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
                      report.l_r_target, report.l_a)
             n_batches += 1
         means = sums / max(n_batches, 1)
-        total = (means[0] + means[1] + cfg.lambda1 * (means[2] + means[3])
-                 + cfg.lambda2 * means[4])
-        epoch_report = BatchLossReport(l_c=means[0], l_d=means[1],
-                                       l_r_source=means[2], l_r_target=means[3],
-                                       l_a=means[4], lambda1=cfg.lambda1,
-                                       lambda2=cfg.lambda2, total=total)
+        _, epoch_report = total_objective(*means, cfg.lambda1, cfg.lambda2)
         history.epochs.append(epoch_report)
         if on_epoch is not None:
             on_epoch(epoch, epoch_report)

@@ -115,3 +115,22 @@ def test_synth_infeasible_spec_exit(tmp_path, capsys):
     assert cli_main(["--quiet", "synth", "--spec", str(spec),
                      "--out", str(tmp_path / "d")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_synth_malformed_spec_value_exit(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    write_spec(spec, k_s=2.5)
+    assert cli_main(["--quiet", "synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d")]) == 1
+    assert "k_s" in capsys.readouterr().err
+
+
+def test_synth_spec_missing_field_exit(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    write_spec(spec)
+    lines = spec.read_text().splitlines()
+    spec.write_text("\n".join(line for line in lines
+                             if not line.startswith("d_x")))
+    assert cli_main(["--quiet", "synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d")]) == 1
+    assert "d_x" in capsys.readouterr().err

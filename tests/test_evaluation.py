@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from srosda.dataio import SynthSpec, TargetDataset, TargetEval, synth_generate
 from srosda.evaluation import (MetricsReport, attribute_pr, compute_report,
                                eval_openset, eval_semantic, harmonic_mean,
-                               load_report, save_report)
+                               joint_features, load_report, save_report)
 from srosda.exceptions import ContractError, FormatError, ProtocolError
 from srosda.model import init_params
 
@@ -63,7 +63,8 @@ def fixture():
 
 def test_eval_openset_identity_and_confusion(fixture):
     params, tgt = fixture
-    os_val, os_star, os_diamond, confusion = eval_openset(params, tgt)
+    f, _ = joint_features(params, tgt.features)
+    os_val, os_star, os_diamond, confusion = eval_openset(params, tgt, f)
     k_s = 3
     assert confusion.shape == (5, 4)
     assert confusion.sum() == tgt.features.shape[0]
@@ -79,20 +80,21 @@ def test_eval_openset_identity_and_confusion(fixture):
 
 def test_eval_semantic_bounds_and_requirements(fixture):
     params, tgt = fixture
-    s, u, h = eval_semantic(params, tgt)
+    f, a_hat = joint_features(params, tgt.features)
+    s, u, h = eval_semantic(params, tgt, f, a_hat)
     assert 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0
     assert h == pytest.approx(harmonic_mean(s, u), abs=1e-15)
     bare = TargetDataset(features=tgt.features)
     with pytest.raises(ProtocolError):
-        eval_semantic(params, bare)
+        eval_semantic(params, bare, f, a_hat)
     with pytest.raises(ProtocolError):
-        eval_openset(params, bare)
+        eval_openset(params, bare, f)
     seen_only = TargetDataset(
         features=tgt.features,
         eval_data=TargetEval(labels=np.zeros(tgt.features.shape[0], dtype=int),
                              attr_table_full=tgt.eval_data.attr_table_full[:3]))
     with pytest.raises(ProtocolError):
-        eval_semantic(params, seen_only)
+        eval_semantic(params, seen_only, f, a_hat)
 
 
 def test_compute_report_fields(fixture):

@@ -4,10 +4,9 @@ import pytest
 from srosda import autodiff as ad
 from srosda.exceptions import ContractError, FormatError
 from srosda.model import (GZ_HIDDEN, HEAD_HIDDEN, LAYER_NAMES, Z_DIM,
-                          forward_c, forward_d, forward_ga,
-                          forward_gz, fuse, grad_check, init_params,
-                          joint_feature_sets, load_checkpoint, param_tensors,
-                          save_checkpoint, split_joint, tape_forward_c,
+                          forward_c, forward_d, forward_ga, forward_gz,
+                          grad_check, init_params, load_checkpoint,
+                          param_tensors, save_checkpoint, tape_forward_c,
                           tape_forward_d_logits, tape_forward_ga,
                           tape_forward_gz)
 from srosda.numkernel import make_rng
@@ -102,35 +101,6 @@ def test_tape_forwards_match_plain(params):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.allclose(e / e.sum(axis=1, keepdims=True),
                        forward_d(params, f), atol=1e-12)
-
-
-def test_fuse_and_split():
-    z = np.arange(Z_DIM, dtype=np.float64)
-    a = np.linspace(0.0, 1.0, D_A)
-    f = fuse(z, a)
-    assert f.shape == (Z_DIM + D_A,)
-    z2, a2 = split_joint(f, D_A)
-    assert np.array_equal(z2, z) and np.array_equal(a2, a)
-    with pytest.raises(ContractError):
-        fuse(z, a + 1.5)
-    with pytest.raises(ContractError):
-        fuse(z[:-1], a)
-
-
-def test_joint_feature_sets_cardinality():
-    z = np.zeros(Z_DIM)
-    gt = np.ones(D_A)
-    pred = np.full(D_A, 0.5)
-    assert len(joint_feature_sets("source", z, gt_attr=gt, pred_attr=pred)) == 2
-    assert len(joint_feature_sets("target-seen", z, pseudo_attr=gt,
-                                  pred_attr=pred)) == 2
-    assert len(joint_feature_sets("target-unseen", z, pred_attr=pred)) == 1
-    with pytest.raises(ContractError):
-        joint_feature_sets("source", z, pred_attr=pred)
-    with pytest.raises(ContractError):
-        joint_feature_sets("bogus", z, pred_attr=pred)
-    with pytest.raises(ContractError):
-        joint_feature_sets("target-unseen", z)
 
 
 def test_grad_check_accepts_true_gradient(params):

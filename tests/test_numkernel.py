@@ -8,10 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from srosda import numkernel
 from srosda.exceptions import ContractError, DataError, SingularMatrixError
-from srosda.numkernel import (CONDITION_LIMIT, DegenerateInputWarning,
-                              check_finite, cosine_dist, inv_small, make_rng,
-                              pairwise_sq_dist, single_blas_thread,
-                              softmax_neg, variance)
+from srosda.numkernel import (CONDITION_LIMIT, check_finite, inv_small,
+                              make_rng, pairwise_sq_dist, single_blas_thread,
+                              variance)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                           allow_infinity=False)
@@ -61,54 +60,6 @@ def test_pairwise_sq_dist_rejects_bad_shapes():
         pairwise_sq_dist(np.zeros(3))
     with pytest.raises(ContractError):
         pairwise_sq_dist(np.zeros((0, 3)))
-
-
-def test_cosine_dist_values():
-    assert cosine_dist([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert cosine_dist([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(2.0, abs=1e-15)
-    assert cosine_dist([1.0, 0.0], [0.0, 5.0]) == pytest.approx(1.0, abs=1e-15)
-    # scale invariant
-    assert cosine_dist([2.0, 1.0], [4.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_cosine_dist_zero_norm_warns_neutral():
-    with pytest.warns(DegenerateInputWarning):
-        assert cosine_dist([0.0, 0.0], [1.0, 2.0]) == 1.0
-
-
-def test_cosine_dist_mismatch():
-    with pytest.raises(ContractError):
-        cosine_dist([1.0], [1.0, 2.0])
-
-
-def test_softmax_neg_oracle():
-    # exp(-0)=1, exp(-1)=0.36788...; frozen from an independent evaluation
-    p = softmax_neg([0.0, 1.0])
-    assert p[0] == pytest.approx(0.7310585786300049, abs=1e-12)
-    assert p[1] == pytest.approx(0.2689414213699951, abs=1e-12)
-
-
-@given(arrays(np.float64, st.integers(1, 10), elements=finite_floats))
-@settings(max_examples=60, deadline=None)
-def test_softmax_neg_properties(v):
-    p = softmax_neg(v)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert p.min() >= 0.0  # may underflow to 0 for huge gaps, never negative
-    # smallest distance receives the largest probability (ties allowed)
-    assert p[np.argmin(v)] == p.max()
-
-
-@given(arrays(np.float64, st.integers(1, 10), elements=finite_floats),
-       st.floats(min_value=-100, max_value=100))
-@settings(max_examples=60, deadline=None)
-def test_softmax_neg_shift_invariant(v, c):
-    assert np.allclose(softmax_neg(v), softmax_neg(v + c), atol=1e-12)
-
-
-def test_softmax_neg_no_overflow():
-    p = softmax_neg([1e6, 1e6 + 1.0])
-    assert np.all(np.isfinite(p))
-    assert p.sum() == pytest.approx(1.0)
 
 
 def test_variance_oracle():

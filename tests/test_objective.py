@@ -214,6 +214,33 @@ def test_batch_objective_report_consistent():
     assert report.l_c > 0.0 and report.l_d > 0.0 and report.l_a > 0.0
 
 
+def test_batch_objective_joint_feature_rows(monkeypatch):
+    # C sees two joint features per source and per seen target sample and one
+    # per unseen target sample; D sees the target ones only
+    from srosda import objective
+    rows = {}
+
+    def counting(name, forward):
+        def wrapped(pt, f):
+            rows[name] = f.shape[0]
+            return forward(pt, f)
+        return wrapped
+
+    monkeypatch.setattr(objective, "tape_forward_c",
+                        counting("c", objective.tape_forward_c))
+    monkeypatch.setattr(objective, "tape_forward_d_logits",
+                        counting("d", objective.tape_forward_d_logits))
+    params = init_params(D_X, D_A, K_S, seed=0)
+    batch = make_batch()
+    ns = batch.xs.shape[0]
+    n_seen = int(batch.t_seen_mask.sum())
+    n_unseen = batch.xt.shape[0] - n_seen
+    assert n_seen > 0 and n_unseen > 0
+    batch_objective(params, batch, make_rz(params, batch), ObjectiveConfig())
+    assert rows == {"c": 2 * ns + 2 * n_seen + n_unseen,
+                    "d": 2 * n_seen + n_unseen}
+
+
 def test_batch_objective_toggles():
     params = init_params(D_X, D_A, K_S, seed=0)
     batch = make_batch()

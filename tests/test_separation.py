@@ -6,7 +6,7 @@ import pytest
 from srosda.exceptions import ContractError, DataError, SeparationError
 from srosda.numkernel import make_rng
 from srosda.separation import (PrototypeSet, SeparationConfig, init_prototypes,
-                               kmeans, predict_all, prototype_predict,
+                               kmeans, predict_all,
                                run_progressive_separation, split_seen_unseen,
                                update_prototypes_ema)
 
@@ -56,12 +56,19 @@ def test_predict_all_scale_invariance():
     assert np.allclose(c1, c2, atol=1e-12)
 
 
-def test_prototype_predict_single():
-    protos = np.array([[1.0, 0.0], [0.0, 1.0]])
-    lab, conf, probs = prototype_predict(np.array([0.0, 3.0]), protos)
-    assert lab == 1
-    assert probs.shape == (2,)
-    assert conf == pytest.approx(probs[1])
+def test_predict_all_zero_norm_is_neutral():
+    # a zero row or prototype gets the neutral cosine distance 1.0: no NaN,
+    # and a zero row sees every prototype as equally likely
+    protos = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    x = np.array([[0.0, 0.0], [3.0, 0.0]])
+    labels, conf, probs = predict_all(x, protos)
+    assert np.all(np.isfinite(probs)) and np.all(np.isfinite(conf))
+    assert np.all(probs[0] == probs[0, 0])
+    assert labels[0] == 0
+    # row 1: distances 0, 1 (zero prototype), 1
+    e = np.exp([0.0, -1.0, -1.0])
+    assert np.allclose(probs[1], e / e.sum(), atol=1e-12)
+    assert probs[1, 1] == probs[1, 2]
 
 
 def test_predict_all_contracts():

@@ -56,6 +56,25 @@ def test_config_round_trip(tmp_path):
         load_config(path)
 
 
+def test_load_config_rejects_malformed_value(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("k = 2\nepochs = 1.5\n")
+    with pytest.raises(ConfigError, match="epochs"):
+        load_config(path)
+
+
+def test_config_batch_size_limited_by_propagation_inverse():
+    small_cfg(batch_size=512).validate()
+    with pytest.raises(ConfigError, match="batch_size"):
+        small_cfg(batch_size=513).validate()
+    # without propagation no inverse is taken, so a wider batch still trains
+    cfg = small_cfg(batch_size=600, use_prop=False, epochs=1)
+    cfg.validate()
+    src, tgt = synth_generate(SPEC)
+    _, history, _ = train(cfg, src, tgt.features)
+    assert len(history.epochs) == 1 and np.isfinite(history.epochs[0].total)
+
+
 def test_make_batches_partition():
     rng = make_rng(0)
     batches = make_batches(20, 30, 8, rng)
