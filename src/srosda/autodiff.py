@@ -37,6 +37,8 @@ class Tensor:
     def item(self):
         return float(self.value)
 
+    __float__ = item
+
     def backward(self):
         if self.value.ndim != 0:
             raise ContractError("backward() requires a scalar output")
@@ -190,16 +192,6 @@ def transpose(a):
         _acc(a, g.T)
 
     return Tensor(a.value.T, (a,), back)
-
-
-def reshape(a, shape):
-    a = ensure(a)
-    orig = a.value.shape
-
-    def back(g):
-        _acc(a, g.reshape(orig))
-
-    return Tensor(a.value.reshape(shape), (a,), back)
 
 
 def relu(a):

@@ -7,7 +7,7 @@ stderr.
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +21,14 @@ CHECKPOINT_FILE = "checkpoint.bin"
 HISTORY_FILE = "history.csv"
 PSEUDO_FILE = "pseudo.tsv"
 META_FILE = "train_meta.txt"
+
+
+@dataclass
+class TrainMeta:
+    """What ``eval`` needs from a training run, kept in META_FILE."""
+    tau: float = float("nan")
+    epochs: int = 0
+    seed: int = 0
 
 
 def cmd_synth(args):
@@ -53,9 +61,8 @@ def cmd_train(args):
     trainer.save_checkpoint_atomic(params, os.path.join(args.out, CHECKPOINT_FILE))
     trainer.save_history(history, os.path.join(args.out, HISTORY_FILE))
     dump_pseudo_state(pseudo, os.path.join(args.out, PSEUDO_FILE))
-    dataio.write_kv([("tau", repr(float(history.final_tau))),
-                     ("epochs", cfg.epochs), ("seed", cfg.seed)],
-                    os.path.join(args.out, META_FILE))
+    meta = TrainMeta(tau=history.final_tau, epochs=cfg.epochs, seed=cfg.seed)
+    dataio.write_kv(dataio.fields_to_kv(meta), os.path.join(args.out, META_FILE))
     if not args.quiet:
         print(f"trained {cfg.epochs} epochs; checkpoint in {args.out}")
     return 0
@@ -66,14 +73,12 @@ def cmd_eval(args):
     target = dataio.load_target(args.data, with_eval=True)
     meta_path = args.meta or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
                                           META_FILE)
-    tau, epochs, seed = float("nan"), 0, args.seed if args.seed is not None else 0
-    if os.path.exists(meta_path):
-        meta = dict(dataio.read_kv(meta_path))
-        tau = float(meta.get("tau", "nan"))
-        epochs = int(meta.get("epochs", 0))
-        seed = int(meta.get("seed", seed))
-    report = evaluation.compute_report(params, target, tau=tau, epochs=epochs,
-                                       seed=seed)
+    # a seed in the meta file wins over --seed, which wins over the default
+    seed = args.seed if args.seed is not None else 0
+    meta = (dataio.read_dataclass(meta_path, TrainMeta, seed=seed)
+            if os.path.exists(meta_path) else TrainMeta(seed=seed))
+    report = evaluation.compute_report(params, target, tau=meta.tau,
+                                       epochs=meta.epochs, seed=meta.seed)
     evaluation.save_report(report, args.out)
     if not args.quiet:
         print(f"wrote report to {args.out}")

@@ -426,17 +426,34 @@ def _parse_bool(text):
 
 
 _FIELD_PARSERS = {int: int, float: float, bool: _parse_bool}
+_FIELD_FORMATS = {int: lambda v: str(int(v)), float: lambda v: repr(float(v)),
+                  bool: lambda v: "true" if v else "false"}
 
 
-def read_dataclass(path, cls):
+def fields_to_kv(obj):
+    """``(key, value)`` pairs of a dataclass's int, float and bool fields in
+    declaration order; floats are written by ``repr`` so they read back exactly."""
+    return [(f.name, _FIELD_FORMATS[f.type](getattr(obj, f.name)))
+            for f in fields(obj) if f.type in _FIELD_FORMATS]
+
+
+def fields_from_kv(values, cls):
+    """The int, float and bool fields of dataclass ``cls`` parsed from the
+    mapping ``values``; KeyError if one is missing, ValueError if malformed."""
+    return {f.name: _FIELD_PARSERS[f.type](values[f.name])
+            for f in fields(cls) if f.type in _FIELD_PARSERS}
+
+
+def read_dataclass(path, cls, **defaults):
     """An instance of dataclass ``cls`` from a ``key = value`` file.
 
     Each value is parsed by its field's type: ``int``, ``float``, or ``bool``
-    written ``true``/``false``. Unknown keys, malformed values and missing
+    written ``true``/``false``. Keys absent from the file take ``defaults``,
+    then the field defaults. Unknown keys, malformed values and missing
     required fields raise ConfigError.
     """
     types = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
+    kwargs = dict(defaults)
     for key, value in read_kv(path):
         if key not in types:
             raise ConfigError(f"{path}: unknown key {key!r}")

@@ -9,7 +9,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dataio import TargetDataset, write_kv, read_kv
+from .dataio import TargetDataset, fields_from_kv, fields_to_kv, read_kv, write_kv
 from .exceptions import ContractError, FormatError, ProtocolError
 from .model import ModelParams, forward_c, forward_d, forward_ga, forward_gz
 from .numkernel import single_blas_thread
@@ -18,6 +18,7 @@ from .separation import predict_all
 
 @dataclass
 class MetricsReport:
+    # the report file lists the scalar fields first, in this order
     os: float
     os_star: float
     os_diamond: float
@@ -168,21 +169,10 @@ def compute_report(params: ModelParams, target: TargetDataset, tau, epochs,
 def save_report(report: MetricsReport, path):
     if report.confusion.size == 0:
         raise ContractError("report has an empty confusion matrix")
-    pairs = [
-        ("os", repr(float(report.os))),
-        ("os_star", repr(float(report.os_star))),
-        ("os_diamond", repr(float(report.os_diamond))),
-        ("s", repr(float(report.s))),
-        ("u", repr(float(report.u))),
-        ("h", repr(float(report.h))),
-        ("tau", repr(float(report.tau))),
-        ("epochs", int(report.epochs)),
-        ("seed", int(report.seed)),
-        ("confusion.rows", report.confusion.shape[0]),
-        ("confusion.cols", report.confusion.shape[1]),
-    ]
-    for t in range(report.confusion.shape[0]):
-        for p in range(report.confusion.shape[1]):
+    rows, cols = report.confusion.shape
+    pairs = fields_to_kv(report) + [("confusion.rows", rows), ("confusion.cols", cols)]
+    for t in range(rows):
+        for p in range(cols):
             pairs.append((f"confusion.{t}.{p}", int(report.confusion[t, p])))
     for i, (prec, rec) in enumerate(report.attr_pr):
         pairs.append((f"attr_pr.{i}", f"{float(prec)!r},{float(rec)!r}"))
@@ -204,14 +194,8 @@ def load_report(path) -> MetricsReport:
             prec, rec = values[f"attr_pr.{i}"].split(",")
             attr_pr.append((float(prec), float(rec)))
             i += 1
-        return MetricsReport(os=float(values["os"]),
-                             os_star=float(values["os_star"]),
-                             os_diamond=float(values["os_diamond"]),
-                             s=float(values["s"]), u=float(values["u"]),
-                             h=float(values["h"]), confusion=confusion,
-                             tau=float(values["tau"]),
-                             epochs=int(values["epochs"]),
-                             seed=int(values["seed"]), attr_pr=attr_pr)
+        return MetricsReport(confusion=confusion, attr_pr=attr_pr,
+                             **fields_from_kv(values, MetricsReport))
     except KeyError as err:
         raise FormatError(f"{path}: missing report key {err}") from None
     except ValueError as err:

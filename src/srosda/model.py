@@ -27,15 +27,6 @@ HEAD_HIDDEN = 256
 CHECKPOINT_MAGIC = b"SROSCKPT"
 CHECKPOINT_VERSION = 1
 
-# declaration order of the parameter arrays
-LAYER_NAMES = (
-    "gz_w1", "gz_b1", "gz_w2", "gz_b2",
-    "ga_w1", "ga_b1", "ga_w2", "ga_b2",
-    "c_w1", "c_b1", "c_w2", "c_b2",
-    "d_w1", "d_b1", "d_w2", "d_b2",
-)
-
-
 @dataclass
 class ModelParams:
     arrays: Dict[str, np.ndarray]
@@ -70,6 +61,10 @@ def _layer_shapes(d_x, d_a, k_s):
     }
 
 
+# declaration order of the parameter arrays
+LAYER_NAMES = tuple(_layer_shapes(1, 1, 1))
+
+
 def init_params(d_x, d_a, k_s, seed=0) -> ModelParams:
     if d_x < 1 or d_a < 1 or k_s < 1:
         raise ContractError("dimensions must be positive")
@@ -92,7 +87,7 @@ def param_tensors(params: ModelParams) -> Dict[str, ad.Tensor]:
 
 
 def _affine(pt, x, w, b):
-    return ad.add(ad.matmul(x, pt[w]), ad.reshape(pt[b], (1, -1)))
+    return ad.add(ad.matmul(x, pt[w]), pt[b])  # (h,) bias broadcasts over rows
 
 
 def tape_forward_gz(pt, x):

@@ -1,5 +1,5 @@
-"""Deterministic numeric substrate: distances, variance, small dense inverses,
-seeded RNG construction and a scoped BLAS single-thread pin.
+"""Deterministic numeric substrate: distances, variance, class means, small
+dense inverses, seeded RNG construction and a scoped BLAS single-thread pin.
 
 Everything here is pure and double precision. Reductions rely on numpy's
 fixed left-to-right summation so repeated runs agree bitwise.
@@ -120,6 +120,21 @@ def variance(values):
     return float(np.dot(dev, dev) / values.size)
 
 
+def class_means(x, labels, n):
+    """(means, present) for classes 0..n-1: the mean of the rows of ``x`` with
+    that label, or zeros and present False for a class without rows."""
+    x = np.asarray(x, dtype=np.float64)
+    labels = np.asarray(labels)
+    means = np.zeros((n, x.shape[1]))
+    present = np.zeros(n, dtype=bool)
+    for c in range(n):
+        members = x[labels == c]
+        if members.shape[0] > 0:
+            means[c] = members.mean(axis=0)
+            present[c] = True
+    return means, present
+
+
 def inv_small(m):
     """Invert a small dense square matrix via Gauss-Jordan elimination with
     partial pivoting.
@@ -133,25 +148,23 @@ def inv_small(m):
     n = m.shape[0]
     if n > MAX_INVERSE_SIZE:
         raise ContractError(f"inv_small limited to n <= {MAX_INVERSE_SIZE}, got {n}")
-    a = m.copy()
-    inv = np.eye(n)
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
+    aug = np.hstack([m, np.eye(n)])  # [m | I] -> [I | m^-1]
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        pv = a[piv, col]
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        pv = aug[piv, col]
         if abs(pv) <= scale * 1e-13:
             raise SingularMatrixError(f"zero pivot at column {col}")
         if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            inv[[col, piv]] = inv[[piv, col]]
-        a[col] /= pv
-        inv[col] /= pv
-        factors = a[:, col].copy()
+            aug[[col, piv]] = aug[[piv, col]]
+        # columns left of col are never read again (the left half is discarded)
+        aug[col, col:] /= pv
+        factors = aug[:, col].copy()
         factors[col] = 0.0
-        a -= np.outer(factors, a[col])
-        inv -= np.outer(factors, inv[col])
+        aug[:, col:] -= np.outer(factors, aug[col, col:])
+    inv = aug[:, n:].copy()
     cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
     if cond > CONDITION_LIMIT:
         raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")

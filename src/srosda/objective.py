@@ -18,7 +18,8 @@ from . import autodiff as ad
 from .exceptions import ContractError, PropagationError, SingularMatrixError
 from .model import (ModelParams, param_tensors, tape_forward_c,
                     tape_forward_d_logits, tape_forward_ga, tape_forward_gz)
-from .numkernel import check_finite, inv_small, pairwise_sq_dist, variance
+from .numkernel import (check_finite, class_means, inv_small, pairwise_sq_dist,
+                        variance)
 
 SIGMA2_FLOOR = 1e-12
 DEGREE_FLOOR = 1e-12
@@ -70,18 +71,10 @@ class TrainBatch:
 
 
 def compute_z_prototypes(z_t, pseudo, n_classes) -> ZPrototypes:
-    z_t = np.asarray(z_t, dtype=np.float64)
     pseudo = np.asarray(pseudo)
     if pseudo.size and (pseudo.min() < 0 or pseudo.max() >= n_classes):
         raise ContractError("pseudo label out of range")
-    means = np.zeros((n_classes, z_t.shape[1]))
-    present = np.zeros(n_classes, dtype=bool)
-    for c in range(n_classes):
-        members = z_t[pseudo == c]
-        if members.shape[0] > 0:
-            means[c] = members.mean(axis=0)
-            present[c] = True
-    return ZPrototypes(means=means, present=present)
+    return ZPrototypes(*class_means(z_t, pseudo, n_classes))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +208,7 @@ def loss_classifier_t(logits, labels):
 
 
 def total_objective(l_c, l_d, l_r_source, l_r_target, l_a, lambda1, lambda2):
-    """Combine already-computed parts into the scalar objective and report."""
+    """The objective and its report from computed parts (floats or Tensors)."""
     total = l_c + l_d + lambda1 * (l_r_source + l_r_target) + lambda2 * l_a
     report = BatchLossReport(l_c=float(l_c), l_d=float(l_d),
                              l_r_source=float(l_r_source),
@@ -327,11 +320,8 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     else:
         l_a = ad.Tensor(0.0)
 
-    total = (l_c + l_d + cfg.lambda1 * (l_rs + l_rt) + cfg.lambda2 * l_a)
-    report = BatchLossReport(l_c=l_c.item(), l_d=l_d.item(),
-                             l_r_source=l_rs.item(), l_r_target=l_rt.item(),
-                             l_a=l_a.item(), lambda1=cfg.lambda1,
-                             lambda2=cfg.lambda2, total=total.item())
+    total, report = total_objective(l_c, l_d, l_rs, l_rt, l_a, cfg.lambda1,
+                                    cfg.lambda2)
     terms = {"l_c": l_c, "l_d": l_d, "l_r": l_rs + l_rt, "l_a": l_a}
     return total, report, pt, terms
 

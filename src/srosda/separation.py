@@ -11,7 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DataError, SeparationError
-from .numkernel import ZERO_NORM_EPS, make_rng
+from .numkernel import ZERO_NORM_EPS, class_means, make_rng
+
+KMEANS_MAX_ITER = 100  # center updates per k-means run, at most
+KMEANS_TOL = 1e-6  # stop once no center moves this far
 
 
 @dataclass
@@ -39,23 +42,16 @@ class SeparationConfig:
     k: int
     alpha: float = 0.001
     rounds: int = 5
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-6
     quantile_fallback: bool = False
     seed: int = 0
 
 
 def init_prototypes(features, labels, k_s):
     """Per-class mean of source features; unseen set starts empty."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    seen = np.empty((k_s, features.shape[1]))
-    for c in range(k_s):
-        members = features[labels == c]
-        if members.shape[0] == 0:
-            raise DataError(f"class {c} has no source samples")
-        seen[c] = members.mean(axis=0)
-    return PrototypeSet(seen=seen, unseen=np.empty((0, features.shape[1])))
+    seen, present = class_means(features, labels, k_s)
+    if not present.all():
+        raise DataError(f"class {np.argmin(present)} has no source samples")
+    return PrototypeSet(seen=seen, unseen=np.empty((0, seen.shape[1])))
 
 
 def _cosine_dist_matrix(x, protos):
@@ -108,13 +104,10 @@ def update_prototypes_ema(protos: PrototypeSet, target_feats, labels, seen_mask,
     samples keep their prototype."""
     if not 0.0 <= alpha <= 1.0:
         raise ContractError("alpha must be in [0, 1]")
-    target_feats = np.asarray(target_feats, dtype=np.float64)
-    labels = np.asarray(labels)
+    means, present = class_means(target_feats, np.where(seen_mask, labels, -1),
+                                 protos.seen.shape[0])
     new_seen = protos.seen.copy()
-    for c in range(protos.seen.shape[0]):
-        members = target_feats[(labels == c) & seen_mask]
-        if members.shape[0] > 0:
-            new_seen[c] = (1.0 - alpha) * new_seen[c] + alpha * members.mean(axis=0)
+    new_seen[present] = (1.0 - alpha) * new_seen[present] + alpha * means[present]
     return PrototypeSet(seen=new_seen, unseen=protos.unseen.copy())
 
 
@@ -135,7 +128,7 @@ def _kmeans_pp_init(points, k, rng):
     return centers
 
 
-def kmeans(points, k, init="kmeans++", max_iter=100, tol=1e-6, rng=None):
+def kmeans(points, k, init="kmeans++", rng=None):
     """Lloyd iterations with Euclidean distance.
 
     ``init`` is either the string "kmeans++" (seeded via ``rng``) or an
@@ -160,29 +153,21 @@ def kmeans(points, k, init="kmeans++", max_iter=100, tol=1e-6, rng=None):
         if centers.shape != (k, points.shape[1]):
             raise ContractError("explicit centers must have shape (k, d)")
 
-    prev_inertia = np.inf
-    assignment = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    prev_inertia = shift = np.inf
+    # the last pass's assignment is returned
+    for it in range(KMEANS_MAX_ITER + 1):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         assignment = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(n), assignment].sum())
+        closest = d2[np.arange(n), assignment]
+        inertia = float(closest.sum())
         assert inertia <= prev_inertia + 1e-9, "kmeans inertia increased"
         prev_inertia = inertia
-        new_centers = centers.copy()
-        for c in range(k):
-            members = points[assignment == c]
-            if members.shape[0] > 0:
-                new_centers[c] = members.mean(axis=0)
-            else:
-                farthest = int(np.argmax(d2[np.arange(n), assignment]))
-                new_centers[c] = points[farthest]
+        if shift < KMEANS_TOL or it == KMEANS_MAX_ITER:
+            break
+        new_centers, present = class_means(points, assignment, k)
+        new_centers[~present] = points[int(np.argmax(closest))]
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if shift < tol:
-            break
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assignment = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(n), assignment].sum())
     return centers, assignment, inertia
 
 
@@ -227,14 +212,11 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
         seen_mask[unseen_idx] = False
 
     rng = make_rng(cfg.seed)
-    eta, _, _ = kmeans(target_feats[unseen_idx], cfg.k, init="kmeans++",
-                       max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, rng=rng)
+    eta, _, _ = kmeans(target_feats[unseen_idx], cfg.k, init="kmeans++", rng=rng)
     protos = PrototypeSet(seen=protos.seen, unseen=eta)
 
     centers, assignment, _ = kmeans(target_feats, k_s + cfg.k,
-                                    init=protos.stacked(),
-                                    max_iter=cfg.kmeans_max_iter,
-                                    tol=cfg.kmeans_tol)
+                                    init=protos.stacked())
     final_protos = PrototypeSet(seen=centers[:k_s], unseen=centers[k_s:])
     _, conf, probs = predict_all(target_feats, centers)
     conf = probs[np.arange(target_feats.shape[0]), assignment]

@@ -15,12 +15,12 @@ depend on the BLAS thread count.
 import hashlib
 import os
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
 
-from .dataio import SourceDataset, read_dataclass, write_kv
+from .dataio import SourceDataset, read_dataclass
 from .exceptions import ConfigError, TrainingError
 from .model import ModelParams, forward_gz, init_params, save_checkpoint
 from .numkernel import MAX_INVERSE_SIZE, make_rng, single_blas_thread
@@ -50,12 +50,19 @@ class TrainConfig:
     quantile_fallback: bool = True
 
     def validate(self):
+        # written so that NaN fails every range check
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
-        if self.lr <= 0 or self.epochs < 1 or self.k < 1:
-            raise ConfigError("lr, epochs and k must be positive")
-        if self.refresh_period < 1:
-            raise ConfigError("refresh_period must be >= 1")
+        if self.epochs < 1 or self.k < 1:
+            raise ConfigError("epochs and k must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError("lr must be finite and positive")
+        if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
+            raise ConfigError("lambda1 and lambda2 must be finite and >= 0")
+        if not (0 <= self.beta < 1 and 0 <= self.alpha <= 1):
+            raise ConfigError("beta must be in [0, 1) and alpha in [0, 1]")
+        if self.refresh_period < 1 or self.separation_rounds < 0:
+            raise ConfigError("refresh_period must be >= 1, separation_rounds >= 0")
         if self.use_prop and self.batch_size > MAX_INVERSE_SIZE:
             raise ConfigError(f"batch_size must be <= {MAX_INVERSE_SIZE} with "
                               "use_prop (the propagation inverse limit)")
@@ -71,16 +78,6 @@ class TrainConfig:
                                 rounds=self.separation_rounds,
                                 quantile_fallback=self.quantile_fallback,
                                 seed=self.seed)
-
-
-def save_config(cfg: TrainConfig, path):
-    pairs = []
-    for f in fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        pairs.append((f.name, value))
-    write_kv(pairs, path)
 
 
 def load_config(path) -> TrainConfig:

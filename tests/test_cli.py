@@ -109,6 +109,18 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_malformed_meta_exit(workspace, tmp_path, capsys):
+    _, data, out, _ = workspace
+    meta = tmp_path / "meta.txt"
+    meta.write_text("tau = 0.5\nepochs = two\nseed = 3\n")
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(tmp_path / "r.txt"),
+                     "--meta", str(meta)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epochs" in err
+
+
 def test_synth_infeasible_spec_exit(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     write_spec(spec, d_a=1, min_attr_hamming=1, unseen_flip_bits=1)

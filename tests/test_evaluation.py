@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srosda.dataio import SynthSpec, TargetDataset, TargetEval, synth_generate
+from srosda.dataio import (SynthSpec, TargetDataset, TargetEval, read_kv,
+                           synth_generate)
 from srosda.evaluation import (MetricsReport, attribute_pr, compute_report,
                                eval_openset, eval_semantic, harmonic_mean,
                                joint_features, load_report, save_report)
@@ -138,6 +139,18 @@ def test_report_round_trip(tmp_path, fixture):
     path2 = tmp_path / "report2.txt"
     save_report(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_report_scalar_keys_lead_in_order(tmp_path, fixture):
+    # the order comes from MetricsReport's field order; pin it so a reordered
+    # dataclass cannot silently change the file
+    params, tgt = fixture
+    path = tmp_path / "report.txt"
+    save_report(compute_report(params, tgt, tau=0.3, epochs=5, seed=1), path)
+    keys = [key for key, _ in read_kv(path)]
+    assert keys[:9] == ["os", "os_star", "os_diamond", "s", "u", "h",
+                        "tau", "epochs", "seed"]
+    assert keys[9:11] == ["confusion.rows", "confusion.cols"]
 
 
 def test_report_errors(tmp_path):

@@ -8,9 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from srosda import numkernel
 from srosda.exceptions import ContractError, DataError, SingularMatrixError
-from srosda.numkernel import (CONDITION_LIMIT, check_finite, inv_small,
-                              make_rng, pairwise_sq_dist, single_blas_thread,
-                              variance)
+from srosda.numkernel import (CONDITION_LIMIT, check_finite, class_means,
+                              inv_small, make_rng, pairwise_sq_dist,
+                              single_blas_thread, variance)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                           allow_infinity=False)
@@ -31,6 +31,13 @@ def test_check_finite_rejects_nan_inf():
         check_finite([np.inf])
     out = check_finite([[1, 2]], "x")
     assert out.dtype == np.float64
+
+
+def test_class_means_absent_and_out_of_range_labels():
+    x = np.array([[1.0, 2.0], [3.0, 4.0], [10.0, 10.0], [7.0, 7.0]])
+    means, present = class_means(x, [0, 0, 2, -1], 3)
+    assert np.array_equal(means, [[2.0, 3.0], [0.0, 0.0], [10.0, 10.0]])
+    assert present.tolist() == [True, False, True]
 
 
 def test_pairwise_sq_dist_small_oracle():

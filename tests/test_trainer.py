@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import srosda
-from srosda.dataio import SynthSpec, TargetDataset, synth_generate
+from srosda.dataio import (SynthSpec, TargetDataset, fields_to_kv,
+                           synth_generate, write_kv)
 from srosda.evaluation import compute_report
 from srosda.exceptions import ConfigError, ProtocolError, TrainingError
 from srosda.model import LAYER_NAMES, ModelParams, init_params
 from srosda.numkernel import make_rng
 from srosda.trainer import (TrainConfig, load_config, make_batches,
-                            refresh_pseudo, save_checkpoint_atomic, save_config,
+                            refresh_pseudo, save_checkpoint_atomic,
                             save_history, sgd_step, train)
 
 SPEC = SynthSpec(k_s=3, k=2, d_x=8, d_a=8, n_source_per_class=8,
@@ -29,6 +30,10 @@ def small_cfg(**kw):
 
 def test_config_validation():
     small_cfg().validate()
+    # the edges of each range stay valid
+    small_cfg(beta=0.0, alpha=0.0, lambda1=0.0, lambda2=0.0,
+              separation_rounds=0).validate()
+    small_cfg(alpha=1.0).validate()
     with pytest.raises(ConfigError):
         small_cfg(batch_size=1).validate()
     with pytest.raises(ConfigError):
@@ -39,10 +44,23 @@ def test_config_validation():
         small_cfg(refresh_period=0).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta", 1.0), ("beta", -0.1), ("beta", float("nan")),
+    ("lr", float("nan")), ("lr", float("inf")), ("lr", -1e-3),
+    ("alpha", 2.0), ("alpha", -0.5),
+    ("lambda1", float("inf")), ("lambda1", -1.0),
+    ("lambda2", -1.0), ("lambda2", float("nan")),
+    ("separation_rounds", -1),
+])
+def test_config_validation_rejects_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        small_cfg(**{field: value}).validate()
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_cfg(lr=0.01, use_prop=False, lambda1=0.5)
     path = tmp_path / "cfg.txt"
-    save_config(cfg, path)
+    write_kv(fields_to_kv(cfg), path)
     loaded = load_config(path)
     assert loaded == cfg
     path.write_text("k = 2\nbogus = 1\n")
