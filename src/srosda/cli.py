@@ -73,10 +73,10 @@ def cmd_eval(args):
     target = dataio.load_target(args.data, with_eval=True)
     meta_path = args.meta or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
                                           META_FILE)
-    # a seed in the meta file wins over --seed, which wins over the default
-    seed = args.seed if args.seed is not None else 0
-    meta = (dataio.read_dataclass(meta_path, TrainMeta, seed=seed)
-            if os.path.exists(meta_path) else TrainMeta(seed=seed))
+    meta = (dataio.read_dataclass(meta_path, TrainMeta)
+            if os.path.exists(meta_path) else TrainMeta())
+    if args.seed is not None:  # --seed wins over the meta file's seed
+        meta = replace(meta, seed=args.seed)
     report = evaluation.compute_report(params, target, tau=meta.tau,
                                        epochs=meta.epochs, seed=meta.seed)
     evaluation.save_report(report, args.out)

@@ -142,11 +142,27 @@ def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
 
 
 def attribute_pr_all(target: TargetDataset, a_hat, threshold=0.5):
+    """``attribute_pr`` of each row of ``a_hat`` against its class's row of
+    the full attribute table, as a list of (precision, recall) pairs. The
+    counts of all rows come from one array op; being integers, they give the
+    same floats as the per-row function."""
     if target.eval_data is None:
         raise ProtocolError("attribute evaluation requires target eval data")
-    table = target.eval_data.attr_table_full
-    return [attribute_pr(a_hat[i], table[target.eval_data.labels[i]], threshold)
-            for i in range(a_hat.shape[0])]
+    a_hat = np.asarray(a_hat, dtype=np.float64)
+    a_true = target.eval_data.attr_table_full[target.eval_data.labels]
+    if a_hat.shape != a_true.shape:
+        raise ContractError("attribute_pr_all dimension mismatch")
+    pred = a_hat >= threshold
+    true = a_true > 0.5
+    tp = np.count_nonzero(pred & true, axis=1)
+    fp = np.count_nonzero(pred & ~true, axis=1)
+    fn = np.count_nonzero(~pred & true, axis=1)
+    has_pred = tp + fp > 0
+    has_true = tp + fn > 0
+    precision = np.where(has_pred, tp / np.maximum(tp + fp, 1),
+                         np.where(has_true, 0.0, 1.0))
+    recall = np.where(has_true, tp / np.maximum(tp + fn, 1), 1.0)
+    return list(zip(precision.tolist(), recall.tolist()))
 
 
 @single_blas_thread()

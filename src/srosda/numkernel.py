@@ -94,6 +94,22 @@ def check_finite(a, name="input"):
     return arr
 
 
+def sq_norms(a):
+    """Squared Euclidean norm of each row of ``a``."""
+    return np.einsum("ij,ij->i", a, a)
+
+
+def sq_dist(a, b, a_sq=None):
+    """Squared Euclidean distances of the rows of ``a`` to the rows of ``b``
+    by the expansion |a|^2 + |b|^2 - 2 a.b^T: one gemm, no (n, m, d)
+    temporary. Not clamped, so cancellation can leave tiny negatives.
+    ``a_sq`` is ``sq_norms(a)`` when the caller already has it.
+    """
+    if a_sq is None:
+        a_sq = sq_norms(a)
+    return a_sq[:, None] + sq_norms(b)[None, :] - 2.0 * (a @ b.T)
+
+
 def pairwise_sq_dist(m):
     """All-pairs squared Euclidean distances of the rows of ``m``.
 
@@ -102,8 +118,7 @@ def pairwise_sq_dist(m):
     m = check_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] < 1:
         raise ContractError("pairwise_sq_dist expects a non-empty 2-D matrix")
-    sq = np.einsum("ij,ij->i", m, m)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (m @ m.T)
+    d2 = sq_dist(m, m)
     d2 = 0.5 * (d2 + d2.T)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DataError, SeparationError
-from .numkernel import ZERO_NORM_EPS, class_means, make_rng
+from .numkernel import ZERO_NORM_EPS, class_means, make_rng, sq_dist, sq_norms
 
 KMEANS_MAX_ITER = 100  # center updates per k-means run, at most
 KMEANS_TOL = 1e-6  # stop once no center moves this far
@@ -132,9 +132,12 @@ def kmeans(points, k, init="kmeans++", rng=None):
     """Lloyd iterations with Euclidean distance.
 
     ``init`` is either the string "kmeans++" (seeded via ``rng``) or an
-    explicit (k, d) center array. Assignment ties break to the lowest center
-    index; an emptied cluster is reseeded to the point farthest from its
-    assigned center. Inertia is asserted non-increasing across iterations.
+    explicit (k, d) center array. Each pass takes the squared distances to
+    the centers from ``sq_dist`` (one points x centers gemm; the point norms
+    are computed once per call), clamped at 0. Assignment ties break to the
+    lowest center index; an emptied cluster is reseeded to the point farthest
+    from its assigned center. Inertia is asserted non-increasing across
+    iterations.
 
     Returns (centers, assignment, inertia).
     """
@@ -153,10 +156,11 @@ def kmeans(points, k, init="kmeans++", rng=None):
         if centers.shape != (k, points.shape[1]):
             raise ContractError("explicit centers must have shape (k, d)")
 
+    points_sq = sq_norms(points)
     prev_inertia = shift = np.inf
     # the last pass's assignment is returned
     for it in range(KMEANS_MAX_ITER + 1):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.maximum(sq_dist(points, centers, points_sq), 0.0)
         assignment = np.argmin(d2, axis=1)
         closest = d2[np.arange(n), assignment]
         inertia = float(closest.sum())

@@ -23,11 +23,18 @@ import numpy as np
 from .dataio import SourceDataset, read_dataclass
 from .exceptions import ConfigError, TrainingError
 from .model import ModelParams, forward_gz, init_params, save_checkpoint
-from .numkernel import MAX_INVERSE_SIZE, make_rng, single_blas_thread
+from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, make_rng,
+                        single_blas_thread)
 from .objective import (BatchLossReport, ObjectiveConfig, TrainBatch,
                         ZPrototypes, compute_z_prototypes, objective_grads,
                         total_objective)
 from .separation import PseudoState, SeparationConfig, run_progressive_separation
+
+# The propagation system I - beta L has its eigenvalues in [1 - beta, 1 + beta]
+# (L is a normalized affinity), so its 1-norm condition number is at most
+# 2 n / (1 - beta) for n <= MAX_INVERSE_SIZE rows. Up to this beta that stays
+# within the CONDITION_LIMIT that inv_small enforces.
+BETA_MAX = 1.0 - 2.0 * MAX_INVERSE_SIZE / CONDITION_LIMIT
 
 
 @dataclass
@@ -49,7 +56,10 @@ class TrainConfig:
     use_fusion: bool = True
     quantile_fallback: bool = True
 
-    def validate(self):
+    def validate(self, n_target=None):
+        """Raise ConfigError unless every field is in range. ``n_target``,
+        when given, is the number of target rows to train on: k-means++
+        draws k distinct centers from them, so k may not exceed it."""
         # written so that NaN fails every range check
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")
@@ -59,13 +69,16 @@ class TrainConfig:
             raise ConfigError("lr must be finite and positive")
         if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
             raise ConfigError("lambda1 and lambda2 must be finite and >= 0")
-        if not (0 <= self.beta < 1 and 0 <= self.alpha <= 1):
-            raise ConfigError("beta must be in [0, 1) and alpha in [0, 1]")
+        if not (0 <= self.beta <= BETA_MAX and 0 <= self.alpha <= 1):
+            raise ConfigError(f"beta must be in [0, {BETA_MAX!r}] and alpha "
+                              "in [0, 1]")
         if self.refresh_period < 1 or self.separation_rounds < 0:
             raise ConfigError("refresh_period must be >= 1, separation_rounds >= 0")
         if self.use_prop and self.batch_size > MAX_INVERSE_SIZE:
             raise ConfigError(f"batch_size must be <= {MAX_INVERSE_SIZE} with "
                               "use_prop (the propagation inverse limit)")
+        if n_target is not None and self.k > n_target:
+            raise ConfigError(f"k = {self.k} exceeds the {n_target} target samples")
 
     def objective(self) -> ObjectiveConfig:
         return ObjectiveConfig(lambda1=self.lambda1, lambda2=self.lambda2,
@@ -172,8 +185,8 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
 
     ``on_epoch(epoch, report)`` is an optional progress callback.
     """
-    cfg.validate()
     target_features = np.asarray(target_features, dtype=np.float64)
+    cfg.validate(n_target=target_features.shape[0])
     params = init.copy() if init is not None else init_params(
         source.features.shape[1], source.d_a, source.k_s, seed=cfg.seed)
     obj_cfg = cfg.objective()

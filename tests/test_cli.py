@@ -92,6 +92,19 @@ def test_seed_override_changes_training(workspace, tmp_path):
     assert not np.array_equal(p1.arrays["gz_w1"], p2.arrays["gz_w1"])
 
 
+def test_eval_seed_overrides_meta(workspace, tmp_path):
+    _, data, out, _ = workspace
+    report_path = tmp_path / "report.txt"
+    assert cli_main(["--quiet", "--seed", "5", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(report_path)]) == 0
+    report = evaluation.load_report(report_path)
+    meta = dict(dataio.read_kv(out / "train_meta.txt"))
+    assert meta["seed"] == "3"
+    assert report.seed == 5
+    assert report.epochs == 2 and report.tau == float(meta["tau"])
+
+
 def test_cli_error_exit_codes(tmp_path, capsys):
     # missing files -> runtime error (1)
     assert cli_main(["--quiet", "eval", "--checkpoint",

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from srosda.dataio import (SynthSpec, TargetDataset, TargetEval, read_kv,
                            synth_generate)
-from srosda.evaluation import (MetricsReport, attribute_pr, compute_report,
+from srosda.evaluation import (MetricsReport, attribute_pr, attribute_pr_all,
+                               compute_report,
                                eval_openset, eval_semantic, harmonic_mean,
                                joint_features, load_report, save_report)
 from srosda.exceptions import ContractError, FormatError, ProtocolError
@@ -48,6 +50,50 @@ def test_attribute_pr_vacuous_cases():
     assert p == 0.0 and r == 1.0
     with pytest.raises(ContractError):
         attribute_pr([0.5], [1, 0])
+
+
+@st.composite
+def attribute_problems(draw):
+    """(target, a_hat): a 0/1 table whose last row is all zeros (a class
+    with no true attributes), labels that use it, and predictions on a
+    grid that hits the threshold exactly, with an all-negative row."""
+    n = draw(st.integers(1, 12))
+    d_a = draw(st.integers(1, 6))
+    k_t = draw(st.integers(1, 4))
+    table = draw(hnp.arrays(np.int64, (k_t, d_a), elements=st.integers(0, 1)))
+    table = np.vstack([table, np.zeros((1, d_a), dtype=np.int64)])
+    labels = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k_t)))
+    labels = np.append(labels, k_t)
+    grid = st.sampled_from([0.0, 0.25, 0.4999999999999999, 0.5, 0.75, 1.0])
+    a_hat = draw(hnp.arrays(np.float64, (n, d_a), elements=grid))
+    a_hat = np.vstack([a_hat, np.zeros((1, d_a))])
+    target = TargetDataset(features=np.zeros((n + 1, 1)),
+                           eval_data=TargetEval(labels=labels,
+                                                attr_table_full=table))
+    return target, a_hat
+
+
+@given(attribute_problems())
+@settings(max_examples=200, deadline=None)
+def test_attribute_pr_all_matches_per_row(problem):
+    target, a_hat = problem
+    table, labels = target.eval_data.attr_table_full, target.eval_data.labels
+    want = [attribute_pr(a_hat[i], table[labels[i]])
+            for i in range(a_hat.shape[0])]
+    got = attribute_pr_all(target, a_hat)
+    assert got == want
+    assert all(type(v) is float for pair in got for v in pair)
+
+
+def test_attribute_pr_all_contracts():
+    target = TargetDataset(features=np.zeros((2, 1)),
+                           eval_data=TargetEval(labels=np.array([0, 1]),
+                                                attr_table_full=np.eye(2)))
+    assert attribute_pr_all(target, np.eye(2)) == [(1.0, 1.0), (1.0, 1.0)]
+    with pytest.raises(ContractError):
+        attribute_pr_all(target, np.zeros((2, 3)))
+    with pytest.raises(ProtocolError):
+        attribute_pr_all(TargetDataset(features=np.zeros((2, 1))), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

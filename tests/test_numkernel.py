@@ -10,7 +10,7 @@ from srosda import numkernel
 from srosda.exceptions import ContractError, DataError, SingularMatrixError
 from srosda.numkernel import (CONDITION_LIMIT, check_finite, class_means,
                               inv_small, make_rng, pairwise_sq_dist,
-                              single_blas_thread, variance)
+                              single_blas_thread, sq_dist, sq_norms, variance)
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
                           allow_infinity=False)
@@ -67,6 +67,17 @@ def test_pairwise_sq_dist_rejects_bad_shapes():
         pairwise_sq_dist(np.zeros(3))
     with pytest.raises(ContractError):
         pairwise_sq_dist(np.zeros((0, 3)))
+
+
+def test_sq_dist_rectangular():
+    rng = make_rng(2)
+    a, b = rng.normal(size=(7, 4)), rng.normal(size=(3, 4))
+    d2 = sq_dist(a, b)
+    brute = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    assert d2.shape == (7, 3)
+    assert np.allclose(d2, brute, atol=1e-12)
+    # passing the precomputed row norms of a changes no bit
+    assert np.array_equal(sq_dist(a, b, sq_norms(a)), d2)
 
 
 def test_variance_oracle():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from srosda.exceptions import ContractError, DataError, SeparationError
-from srosda.numkernel import make_rng
-from srosda.separation import (PrototypeSet, SeparationConfig, init_prototypes,
-                               kmeans, predict_all,
+from srosda.numkernel import class_means, make_rng, sq_dist
+from srosda.separation import (KMEANS_MAX_ITER, KMEANS_TOL, PrototypeSet,
+                               SeparationConfig, _kmeans_pp_init,
+                               init_prototypes, kmeans, predict_all,
                                run_progressive_separation, split_seen_unseen,
                                update_prototypes_ema)
 
@@ -156,6 +157,55 @@ def test_kmeans_pp_seeded_deterministic():
     b = kmeans(points, 3, init="kmeans++", rng=make_rng(5))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
+
+
+def broadcast_lloyd(points, centers):
+    """Lloyd loop with the squared distances taken from an n x k x d
+    broadcast: the oracle for the gemm expansion in ``kmeans``."""
+    n, k = points.shape[0], centers.shape[0]
+    prev_inertia = shift = np.inf
+    for it in range(KMEANS_MAX_ITER + 1):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        assignment = np.argmin(d2, axis=1)
+        closest = d2[np.arange(n), assignment]
+        inertia = float(closest.sum())
+        assert inertia <= prev_inertia + 1e-9
+        prev_inertia = inertia
+        if shift < KMEANS_TOL or it == KMEANS_MAX_ITER:
+            break
+        new_centers, present = class_means(points, assignment, k)
+        new_centers[~present] = points[int(np.argmax(closest))]
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+    return centers, assignment, inertia
+
+
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("seed", range(4))
+def test_kmeans_matches_broadcast_lloyd_bitwise(k, seed):
+    rng = make_rng(100 + seed)
+    blobs = rng.normal(size=(k, 6)) * 4.0
+    points = blobs[rng.integers(k, size=60)] + rng.normal(size=(60, 6))
+    points = np.vstack([points, points[rng.integers(60, size=15)]])  # duplicates
+    explicit = points[rng.choice(points.shape[0], k, replace=False)]
+    runs = [(kmeans(points, k, init=explicit),
+             broadcast_lloyd(points, explicit)),
+            (kmeans(points, k, init="kmeans++", rng=make_rng(seed)),
+             broadcast_lloyd(points, _kmeans_pp_init(points, k, make_rng(seed))))]
+    for (centers, assign, inertia), (want_centers, want_assign, want_inertia) in runs:
+        assert np.array_equal(assign, want_assign)
+        assert np.array_equal(centers, want_centers)
+        assert inertia == pytest.approx(want_inertia, rel=1e-12)
+
+
+def test_kmeans_every_point_a_center_clamps_at_zero():
+    points = 100.0 + 10.0 * make_rng(7).normal(size=(20, 7))
+    # the unclamped expansion leaves negative self-distances on this cloud
+    assert (np.diag(sq_dist(points, points)) < 0.0).any()
+    centers, assign, inertia = kmeans(points, points.shape[0], init=points)
+    assert np.array_equal(assign, np.arange(points.shape[0]))
+    assert np.array_equal(centers, points)
+    assert 0.0 <= inertia <= 1e-9
 
 
 def test_kmeans_contracts():

@@ -5,15 +5,18 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import srosda
 from srosda.dataio import (SynthSpec, TargetDataset, fields_to_kv,
                            synth_generate, write_kv)
 from srosda.evaluation import compute_report
-from srosda.exceptions import ConfigError, ProtocolError, TrainingError
+from srosda.exceptions import (ConfigError, DataError, ProtocolError,
+                               SeparationError, TrainingError)
 from srosda.model import LAYER_NAMES, ModelParams, init_params
 from srosda.numkernel import make_rng
-from srosda.trainer import (TrainConfig, load_config, make_batches,
+from srosda.trainer import (BETA_MAX, TrainConfig, load_config, make_batches,
                             refresh_pseudo, save_checkpoint_atomic,
                             save_history, sgd_step, train)
 
@@ -91,6 +94,82 @@ def test_config_batch_size_limited_by_propagation_inverse():
     src, tgt = synth_generate(SPEC)
     _, history, _ = train(cfg, src, tgt.features)
     assert len(history.epochs) == 1 and np.isfinite(history.epochs[0].total)
+
+
+def test_config_beta_limited_by_propagation_condition():
+    small_cfg(beta=BETA_MAX).validate()
+    with pytest.raises(ConfigError, match="beta"):
+        small_cfg(beta=float(np.nextafter(BETA_MAX, 1.0))).validate()
+    # at the limit the propagation inverse of any batch width is accepted
+    src, tgt = synth_generate(SPEC)
+    for batch_size in (2, 16, 512):
+        train(small_cfg(beta=BETA_MAX, batch_size=batch_size, epochs=1), src,
+              tgt.features)
+
+
+def test_train_rejects_k_above_target_count():
+    src, tgt = synth_generate(SPEC)
+    n = tgt.features.shape[0]
+    small_cfg(k=n).validate(n_target=n)
+    with pytest.raises(ConfigError, match=f"k = {n + 1} "):
+        train(small_cfg(k=n + 1, epochs=1), src, tgt.features)
+
+
+FUZZ_DATA = synth_generate(SynthSpec(k_s=3, k=2, d_x=8, d_a=8,
+                                     n_source_per_class=4,
+                                     n_target_per_class=4, seed=9))
+
+
+def edge_or_between(lo, hi):
+    return st.sampled_from([lo, hi]) | st.floats(lo, hi)
+
+
+# each field over its valid range, in the shipped regime and out to the
+# float limits; k runs past the 20 target rows, beta past BETA_MAX and
+# batch_size past the propagation limit, so validate() has work to do
+fuzz_configs = st.builds(
+    TrainConfig,
+    k=st.integers(1, 6) | st.integers(18, 24),
+    lr=st.floats(0.0, 1.0, exclude_min=True) | st.floats(0.0, exclude_min=True,
+                                                          allow_infinity=False),
+    epochs=st.just(1),
+    batch_size=st.integers(2, 600),
+    lambda1=edge_or_between(0.0, 10.0) | edge_or_between(0.0, 1e308),
+    lambda2=edge_or_between(0.0, 10.0) | edge_or_between(0.0, 1e308),
+    alpha=edge_or_between(0.0, 1.0),
+    beta=(edge_or_between(0.0, 1.0)
+          | st.sampled_from([BETA_MAX, float(np.nextafter(1.0, 0.0))])),
+    seed=st.integers(0, 2**32),
+    refresh_period=st.integers(1, 3),
+    separation_rounds=st.integers(0, 6),
+    use_lr=st.booleans(), use_ld=st.booleans(), use_prop=st.booleans(),
+    use_fusion=st.booleans(), quantile_fallback=st.booleans())
+
+
+@given(fuzz_configs)
+@settings(max_examples=25, deadline=None)
+def test_validated_config_never_crashes(cfg):
+    """A config that validate() accepts trains one epoch and reports. It may
+    stop only with the errors that report what the data or the optimization
+    did: divergence (TrainingError, or DataError when an overflowed value
+    reaches a finiteness check first) or, without the quantile fallback, too
+    few unseen candidates (SeparationError)."""
+    src, tgt = FUZZ_DATA
+    try:
+        cfg.validate(n_target=tgt.features.shape[0])
+    except ConfigError:
+        assume(False)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, _, pseudo = train(cfg, src, tgt.features)
+            report = compute_report(params, tgt, tau=pseudo.tau, epochs=1,
+                                    seed=cfg.seed)
+    except (TrainingError, DataError):
+        return
+    except SeparationError:
+        assert not cfg.quantile_fallback
+        return
+    assert report.confusion.sum() == tgt.features.shape[0]
 
 
 def test_make_batches_partition():
