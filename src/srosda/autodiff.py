@@ -313,8 +313,8 @@ def clip_min(a, lo):
 
 
 def inverse(a):
-    """Matrix inverse; forward uses the same pivoted elimination as the plain
-    kernels so the two code paths agree bitwise."""
+    """Matrix inverse by ``inv_small``'s pivoted Gauss-Jordan elimination,
+    which also enforces its size and condition limits."""
     a = ensure(a)
     w = inv_small(a.value)
 

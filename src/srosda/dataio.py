@@ -98,10 +98,21 @@ class SynthSpec:
         return self.k_s + self.k
 
     def validate(self):
+        # written so that NaN fails every range check
         if self.k_s < 1 or self.k < 1:
             raise ContractError("k_s and k must be positive")
-        if self.d_a < 1:
-            raise ContractError("d_a must be positive")
+        if self.d_x < 1 or self.d_a < 1:
+            raise ContractError("d_x and d_a must be positive")
+        if self.seed < 0:
+            raise ContractError("seed must be >= 0")
+        if not 0 < self.cluster_spread < np.inf:
+            raise ContractError("cluster_spread must be finite and positive")
+        if not (0 <= self.bias_magnitude < np.inf
+                and 0 <= self.noise_level < np.inf):
+            raise ContractError("bias_magnitude and noise_level must be "
+                                "finite and >= 0")
+        if not -np.inf < self.rotation_angle < np.inf:
+            raise ContractError("rotation_angle must be finite")
         if self.min_attr_hamming < 1:
             raise ContractError("min_attr_hamming must be >= 1")
         if self.n_source_per_class < 1 or self.n_target_per_class < 1:
@@ -207,6 +218,9 @@ def synth_generate(spec: SynthSpec):
     if spec.noise_level > 0.0:
         s_feats = s_feats + rng.normal(size=s_feats.shape) * spec.noise_level
 
+    if not (np.all(np.isfinite(s_feats)) and np.all(np.isfinite(t_feats))):
+        raise GenerationError("features overflow; reduce cluster_spread, "
+                              "bias_magnitude or noise_level")
     source = SourceDataset(features=s_feats, labels=s_labels,
                            attr_table_seen=attr_table[: spec.k_s])
     target = TargetDataset(features=t_feats,

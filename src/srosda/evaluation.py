@@ -15,6 +15,8 @@ from .model import ModelParams, forward_c, forward_d, forward_ga, forward_gz
 from .numkernel import single_blas_thread
 from .separation import predict_all
 
+ATTR_THRESHOLD = 0.5
+
 
 @dataclass
 class MetricsReport:
@@ -37,30 +39,6 @@ def harmonic_mean(s, u):
     if s + u <= 0.0:
         return 0.0
     return 2.0 * s * u / (s + u)
-
-
-def attribute_pr(a_hat, a_true, threshold=0.5):
-    """Per-sample precision/recall of thresholded attribute predictions.
-
-    Vacuous cases: no predicted and no true positives -> precision 1.0; no
-    predicted positives but true positives exist -> precision 0.0; no true
-    positives -> recall 1.0.
-    """
-    a_hat = np.asarray(a_hat, dtype=np.float64).ravel()
-    a_true = np.asarray(a_true).ravel()
-    if a_hat.shape != a_true.shape:
-        raise ContractError("attribute_pr dimension mismatch")
-    pred = a_hat >= threshold
-    true = a_true > 0.5
-    tp = int(np.sum(pred & true))
-    fp = int(np.sum(pred & ~true))
-    fn = int(np.sum(~pred & true))
-    if tp + fp == 0:
-        precision = 1.0 if tp + fn == 0 else 0.0
-    else:
-        precision = tp / (tp + fp)
-    recall = 1.0 if tp + fn == 0 else tp / (tp + fn)
-    return precision, recall
 
 
 def joint_features(params: ModelParams, features, use_fusion=True):
@@ -141,18 +119,22 @@ def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
     return s, u, harmonic_mean(s, u)
 
 
-def attribute_pr_all(target: TargetDataset, a_hat, threshold=0.5):
-    """``attribute_pr`` of each row of ``a_hat`` against its class's row of
-    the full attribute table, as a list of (precision, recall) pairs. The
-    counts of all rows come from one array op; being integers, they give the
-    same floats as the per-row function."""
+def attribute_pr_all(target: TargetDataset, a_hat):
+    """Per-sample precision/recall of each row of ``a_hat``, thresholded at
+    ATTR_THRESHOLD (inclusive), against its class's row of the full attribute
+    table, as a list of (precision, recall) pairs.
+
+    Vacuous cases: no predicted and no true positives -> precision 1.0; no
+    predicted positives but true positives exist -> precision 0.0; no true
+    positives -> recall 1.0.
+    """
     if target.eval_data is None:
         raise ProtocolError("attribute evaluation requires target eval data")
     a_hat = np.asarray(a_hat, dtype=np.float64)
     a_true = target.eval_data.attr_table_full[target.eval_data.labels]
     if a_hat.shape != a_true.shape:
         raise ContractError("attribute_pr_all dimension mismatch")
-    pred = a_hat >= threshold
+    pred = a_hat >= ATTR_THRESHOLD
     true = a_true > 0.5
     tp = np.count_nonzero(pred & true, axis=1)
     fp = np.count_nonzero(pred & ~true, axis=1)

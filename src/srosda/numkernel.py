@@ -1,4 +1,4 @@
-"""Deterministic numeric substrate: distances, variance, class means, small
+"""Deterministic numeric substrate: squared distances, class means, small
 dense inverses, seeded RNG construction and a scoped BLAS single-thread pin.
 
 Everything here is pure and double precision. Reductions rely on numpy's
@@ -108,31 +108,6 @@ def sq_dist(a, b, a_sq=None):
     if a_sq is None:
         a_sq = sq_norms(a)
     return a_sq[:, None] + sq_norms(b)[None, :] - 2.0 * (a @ b.T)
-
-
-def pairwise_sq_dist(m):
-    """All-pairs squared Euclidean distances of the rows of ``m``.
-
-    The result is exactly symmetric with an exactly zero diagonal.
-    """
-    m = check_finite(m, "matrix")
-    if m.ndim != 2 or m.shape[0] < 1:
-        raise ContractError("pairwise_sq_dist expects a non-empty 2-D matrix")
-    d2 = sq_dist(m, m)
-    d2 = 0.5 * (d2 + d2.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
-
-
-def variance(values):
-    """Population variance (divide by count)."""
-    values = check_finite(values, "values").ravel()
-    if values.size == 0:
-        raise ContractError("variance requires at least one value")
-    mean = values.sum() / values.size
-    dev = values - mean
-    return float(np.dot(dev, dev) / values.size)
 
 
 def class_means(x, labels, n):

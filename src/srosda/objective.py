@@ -4,8 +4,7 @@ total = l_c + l_d + lambda1 * (l_r_source + l_r_target) + lambda2 * l_a
 
 All terms are built on the autodiff tape so gradients flow end to end,
 including through the adjacency construction and the propagation-matrix
-solve. Plain numpy wrappers of the propagation pieces are provided for
-direct testing against the tape path.
+solve.
 """
 
 import warnings
@@ -18,8 +17,7 @@ from . import autodiff as ad
 from .exceptions import ContractError, PropagationError, SingularMatrixError
 from .model import (ModelParams, param_tensors, tape_forward_c,
                     tape_forward_d_logits, tape_forward_ga, tape_forward_gz)
-from .numkernel import (check_finite, class_means, inv_small, pairwise_sq_dist,
-                        variance)
+from .numkernel import class_means
 
 SIGMA2_FLOOR = 1e-12
 DEGREE_FLOOR = 1e-12
@@ -78,7 +76,7 @@ def compute_z_prototypes(z_t, pseudo, n_classes) -> ZPrototypes:
 
 
 # ---------------------------------------------------------------------------
-# attribute propagation, tape path
+# attribute propagation
 
 def _pairwise_sq_t(z):
     r = ad.tsum(ad.square(z), axis=1, keepdims=True)
@@ -103,6 +101,8 @@ def build_adjacency_t(z):
 
 
 def propagation_matrix_t(adj, beta):
+    """W = (I - beta L)^-1 with L = D^-1/2 A D^-1/2, the closed form of label
+    propagation (Zhou et al., NIPS 2004); degrees are floored."""
     n = adj.shape[0]
     deg = ad.clip_min(ad.tsum(adj, axis=1, keepdims=True), DEGREE_FLOOR)
     dinv = 1.0 / ad.sqrt(deg)
@@ -114,45 +114,8 @@ def propagation_matrix_t(adj, beta):
 
 
 def propagate_attributes_t(w, raw):
+    """W @ raw, clipped away from {0, 1} for the attribute BCE."""
     return ad.clip(w @ raw, BCE_EPS, 1.0 - BCE_EPS)
-
-
-# ---------------------------------------------------------------------------
-# attribute propagation, plain wrappers
-
-def build_adjacency(z):
-    z = check_finite(z, "z")
-    if z.ndim != 2 or z.shape[0] < 2:
-        raise ContractError("adjacency needs at least 2 samples")
-    d2 = pairwise_sq_dist(z)
-    off = ~np.eye(z.shape[0], dtype=bool)
-    sigma2 = max(variance(d2[off]), SIGMA2_FLOOR)
-    adj = np.exp(-d2 / sigma2)
-    np.fill_diagonal(adj, 0.0)
-    return adj, sigma2
-
-
-def propagation_matrix(adj, beta):
-    adj = check_finite(adj, "adjacency")
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ContractError("adjacency must be square")
-    if not np.allclose(adj, adj.T) or np.abs(np.diag(adj)).max(initial=0.0) != 0.0:
-        raise ContractError("adjacency must be symmetric with zero diagonal")
-    if adj.min(initial=0.0) < 0.0:
-        raise ContractError("adjacency must be non-negative")
-    deg = np.maximum(adj.sum(axis=1), DEGREE_FLOOR)
-    dinv = 1.0 / np.sqrt(deg)
-    lap = adj * np.outer(dinv, dinv)
-    try:
-        return inv_small(np.eye(adj.shape[0]) - beta * lap)
-    except SingularMatrixError as err:
-        raise PropagationError(f"propagation system singular: {err}") from None
-
-
-def propagate_attributes(w, raw):
-    w = check_finite(w, "W")
-    raw = check_finite(raw, "raw attributes")
-    return np.clip(w @ raw, BCE_EPS, 1.0 - BCE_EPS)
 
 
 # ---------------------------------------------------------------------------

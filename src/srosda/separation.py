@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DataError, SeparationError
-from .numkernel import ZERO_NORM_EPS, class_means, make_rng, sq_dist, sq_norms
+from .numkernel import (ZERO_NORM_EPS, check_finite, class_means, make_rng,
+                        sq_dist, sq_norms)
 
 KMEANS_MAX_ITER = 100  # center updates per k-means run, at most
 KMEANS_TOL = 1e-6  # stop once no center moves this far
@@ -188,8 +189,10 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
     5. confidences recomputed prototypically against the final centers.
 
     With rounds=0 and k=0 the result reduces to plain prototype prediction.
+    Non-finite features raise DataError.
     """
-    target_feats = np.asarray(target_feats, dtype=np.float64)
+    source_feats = check_finite(source_feats, "source features")
+    target_feats = check_finite(target_feats, "target features")
     protos = init_prototypes(source_feats, source_labels, k_s)
 
     labels, conf, _ = predict_all(target_feats, protos.seen)

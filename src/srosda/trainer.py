@@ -21,10 +21,10 @@ from typing import List, Tuple
 import numpy as np
 
 from .dataio import SourceDataset, read_dataclass
-from .exceptions import ConfigError, TrainingError
+from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params, save_checkpoint
-from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, make_rng,
-                        single_blas_thread)
+from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, check_finite,
+                        make_rng, single_blas_thread)
 from .objective import (BatchLossReport, ObjectiveConfig, TrainBatch,
                         ZPrototypes, compute_z_prototypes, objective_grads,
                         total_objective)
@@ -65,6 +65,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.epochs < 1 or self.k < 1:
             raise ConfigError("epochs and k must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0 < self.lr < np.inf:
             raise ConfigError("lr must be finite and positive")
         if not (0 <= self.lambda1 < np.inf and 0 <= self.lambda2 < np.inf):
@@ -183,10 +185,16 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
           init: ModelParams = None, on_epoch=None):
     """Minimize the full objective; returns (params, history, pseudo_state).
 
-    ``on_epoch(epoch, report)`` is an optional progress callback.
+    ``on_epoch(epoch, report)`` is an optional progress callback. The inputs
+    are checked for finiteness on entry, so a non-finite value met later
+    means the optimization diverged: that, and final parameters that are
+    not finite, raise TrainingError.
     """
-    target_features = np.asarray(target_features, dtype=np.float64)
+    target_features = check_finite(target_features, "target features")
     cfg.validate(n_target=target_features.shape[0])
+    if init is not None:
+        for name, arr in init.arrays.items():
+            check_finite(arr, f"initial {name}")
     params = init.copy() if init is not None else init_params(
         source.features.shape[1], source.d_a, source.k_s, seed=cfg.seed)
     obj_cfg = cfg.objective()
@@ -199,37 +207,45 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
     src_attrs = source.sample_attributes()
 
     for epoch in range(cfg.epochs):
-        if epoch > 0 and epoch % cfg.refresh_period == 0:
-            pseudo, rz, pseudo_attrs = refresh_pseudo(params, source,
-                                                      target_features, cfg,
-                                                      space="z")
-            history.refresh_epochs.append(epoch)
-        sums = np.zeros(5)
         n_batches = 0
-        for s_idx, t_idx in make_batches(source.features.shape[0],
-                                         target_features.shape[0],
-                                         cfg.batch_size, rng):
-            batch = TrainBatch(
-                xs=source.features[s_idx], ys=source.labels[s_idx],
-                src_attrs=src_attrs[s_idx],
-                xt=target_features[t_idx],
-                t_pseudo=pseudo.pseudo_label[t_idx],
-                t_seen_mask=pseudo.seen_mask[t_idx],
-                t_pseudo_attrs=pseudo_attrs[t_idx])
-            value, report, grads = objective_grads(params, batch, rz, obj_cfg)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {n_batches}")
-            params = sgd_step(params, grads, cfg.lr)
-            sums += (report.l_c, report.l_d, report.l_r_source,
-                     report.l_r_target, report.l_a)
-            n_batches += 1
+        try:
+            if epoch > 0 and epoch % cfg.refresh_period == 0:
+                pseudo, rz, pseudo_attrs = refresh_pseudo(params, source,
+                                                          target_features, cfg,
+                                                          space="z")
+                history.refresh_epochs.append(epoch)
+            sums = np.zeros(5)
+            for s_idx, t_idx in make_batches(source.features.shape[0],
+                                             target_features.shape[0],
+                                             cfg.batch_size, rng):
+                batch = TrainBatch(
+                    xs=source.features[s_idx], ys=source.labels[s_idx],
+                    src_attrs=src_attrs[s_idx],
+                    xt=target_features[t_idx],
+                    t_pseudo=pseudo.pseudo_label[t_idx],
+                    t_seen_mask=pseudo.seen_mask[t_idx],
+                    t_pseudo_attrs=pseudo_attrs[t_idx])
+                value, report, grads = objective_grads(params, batch, rz,
+                                                       obj_cfg)
+                if not np.isfinite(value):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, batch {n_batches}")
+                params = sgd_step(params, grads, cfg.lr)
+                sums += (report.l_c, report.l_d, report.l_r_source,
+                         report.l_r_target, report.l_a)
+                n_batches += 1
+        except DataError as err:
+            raise TrainingError(f"training diverged at epoch {epoch}, batch "
+                                f"{n_batches}: {err}") from err
         means = sums / max(n_batches, 1)
         _, epoch_report = total_objective(*means, cfg.lambda1, cfg.lambda2)
         history.epochs.append(epoch_report)
         if on_epoch is not None:
             on_epoch(epoch, epoch_report)
 
+    for name, arr in params.arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise TrainingError(f"training diverged: final {name} is not finite")
     history.final_tau = pseudo.tau
     history.params_checksum = _params_checksum(params)
     return params, history, pseudo

@@ -14,14 +14,15 @@ import numpy as np
 import pytest
 
 import conftest
+from srosda import autodiff as ad
 from srosda.dataio import SynthSpec, default_synth_spec, synth_generate
 from srosda.evaluation import compute_report, load_report, save_report
 from srosda.model import (ModelParams, grad_check, init_params,
                           load_checkpoint, save_checkpoint)
 from srosda.numkernel import make_rng
 from srosda.objective import (ObjectiveConfig, TrainBatch, batch_objective,
-                              build_adjacency, compute_z_prototypes,
-                              objective_grads, propagation_matrix)
+                              build_adjacency_t, compute_z_prototypes,
+                              objective_grads, propagation_matrix_t)
 from srosda.separation import SeparationConfig, kmeans, run_progressive_separation
 from srosda.trainer import TrainConfig, train
 from srosda import dataio
@@ -127,7 +128,7 @@ def test_criterion_1_gradients():
 
 
 # ---------------------------------------------------------------------------
-# criterion 2: propagation algebra
+# criterion 2: propagation algebra, on the tape functions training runs
 
 def test_criterion_2_propagation_algebra():
     start = time.time()
@@ -138,19 +139,21 @@ def test_criterion_2_propagation_algebra():
     for _ in range(100):
         n = int(rng.integers(2, 33))
         z = rng.normal(size=(n, 3))
-        adj, _ = build_adjacency(z)
+        adj_t, _ = build_adjacency_t(ad.Tensor(z))
         # beta = 0 gives the identity bitwise
-        ok = ok and np.array_equal(propagation_matrix(adj, 0.0), np.eye(n))
+        ok = ok and np.array_equal(propagation_matrix_t(adj_t, 0.0).value,
+                                   np.eye(n))
+        adj = adj_t.value
         deg = np.maximum(adj.sum(axis=1), 1e-12)
         dinv = 1.0 / np.sqrt(deg)
         lap = adj * np.outer(dinv, dinv)
-        w = propagation_matrix(adj, beta)
+        w = propagation_matrix_t(adj_t, beta).value
         resid = np.abs(w @ (np.eye(n) - beta * lap) - np.eye(n)).max()
         worst = max(worst, resid)
     ok = ok and worst <= PROP_RESID_TOL
     # two-node analytic case
     adj2 = np.array([[0.0, 0.35], [0.35, 0.0]])
-    w2 = propagation_matrix(adj2, beta)
+    w2 = propagation_matrix_t(ad.Tensor(adj2), beta).value
     analytic = np.array([[1.0, beta], [beta, 1.0]]) / (1.0 - beta ** 2)
     analytic_err = np.abs(w2 - analytic).max()
     ok = ok and analytic_err <= ANALYTIC_TOL

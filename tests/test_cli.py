@@ -159,3 +159,21 @@ def test_synth_spec_missing_field_exit(tmp_path, capsys):
     assert cli_main(["--quiet", "synth", "--spec", str(spec),
                      "--out", str(tmp_path / "d")]) == 1
     assert "d_x" in capsys.readouterr().err
+
+
+def test_synth_negative_seed_exit(tmp_path, capsys):
+    spec = tmp_path / "spec.txt"
+    write_spec(spec)
+    assert cli_main(["--quiet", "--seed", "-1", "synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+
+
+def test_train_negative_seed_exit(workspace, tmp_path, capsys):
+    root, data, _, _ = workspace
+    assert cli_main(["--quiet", "--seed", "-1", "train",
+                     "--config", str(root / "config.txt"), "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srosda import dataio
 from srosda.dataio import (SourceDataset, SynthSpec,
@@ -111,6 +113,87 @@ def test_synth_spec_validation():
         replace(good, unseen_flip_bits=1, min_attr_hamming=2).validate()
     with pytest.raises(ContractError):
         replace(good, unseen_flip_bits=good.d_a + 1).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("d_x", 0), ("d_x", -2),
+    ("cluster_spread", float("nan")), ("cluster_spread", 0.0),
+    ("cluster_spread", float("inf")), ("bias_magnitude", -0.1),
+    ("bias_magnitude", float("nan")), ("noise_level", float("inf")),
+    ("noise_level", -1.0), ("rotation_angle", float("nan")),
+    ("rotation_angle", float("-inf")),
+])
+def test_synth_spec_validation_rejects_out_of_range(field, value):
+    with pytest.raises(ContractError, match=field):
+        replace(default_synth_spec(), **{field: value}).validate()
+
+
+def test_synth_overflow_is_generation_error():
+    spec = replace(default_synth_spec(), n_source_per_class=2,
+                   n_target_per_class=2, cluster_spread=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GenerationError, match="overflow"):
+            synth_generate(spec)
+
+
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# any value of each field, in range or past its edges
+PAST_EDGES = {
+    **{name: st.integers(-3, 12) for name in (
+        "k_s", "k", "d_x", "d_a", "n_source_per_class", "n_target_per_class",
+        "min_attr_hamming", "unseen_flip_bits")},
+    **{name: st.floats(-10.0, 10.0) | NON_FINITE for name in (
+        "cluster_spread", "rotation_angle", "bias_magnitude", "noise_level")},
+    "seed": st.integers(-2**32, -1) | st.integers(0, 2**32),
+}
+
+
+@st.composite
+def fuzz_specs(draw):
+    """An in-range spec with up to two fields pushed anywhere, so that both
+    sides of validate() are reached."""
+    d_a = draw(st.integers(4, 8))
+    min_hamming = draw(st.integers(1, 2))
+    fields = dict(
+        k_s=draw(st.integers(1, 4)), k=draw(st.integers(1, 3)),
+        d_x=draw(st.integers(1, 8)), d_a=d_a,
+        n_source_per_class=draw(st.integers(1, 4)),
+        n_target_per_class=draw(st.integers(1, 4)),
+        cluster_spread=draw(st.floats(0.0, 10.0, exclude_min=True)),
+        rotation_angle=draw(st.floats(-10.0, 10.0)),
+        bias_magnitude=draw(st.floats(0.0, 10.0)),
+        noise_level=draw(st.floats(0.0, 10.0)),
+        min_attr_hamming=min_hamming,
+        unseen_flip_bits=draw(st.integers(min_hamming, min_hamming + 1)),
+        seed=draw(st.integers(0, 2**32)))
+    for name in draw(st.sets(st.sampled_from(sorted(PAST_EDGES)), max_size=2)):
+        fields[name] = draw(PAST_EDGES[name])
+    return SynthSpec(**fields)
+
+
+@given(fuzz_specs())
+@settings(max_examples=50, deadline=None)
+def test_validated_spec_generates_or_refuses(spec):
+    """A spec that validate() accepts gives finite datasets of the declared
+    shapes or raises GenerationError; synth_generate refuses any other."""
+    try:
+        spec.validate()
+    except ContractError:
+        with pytest.raises(ContractError):
+            synth_generate(spec)
+        return
+    try:
+        source, target = synth_generate(spec)
+    except GenerationError:
+        return
+    n_s, n_t = spec.k_s * spec.n_source_per_class, spec.k_t * spec.n_target_per_class
+    assert source.features.shape == (n_s, spec.d_x)
+    assert target.features.shape == (n_t, spec.d_x)
+    assert source.labels.shape == (n_s,) and target.eval_data.labels.shape == (n_t,)
+    assert source.attr_table_seen.shape == (spec.k_s, spec.d_a)
+    assert target.eval_data.attr_table_full.shape == (spec.k_t, spec.d_a)
+    assert np.all(np.isfinite(source.features))
+    assert np.all(np.isfinite(target.features))
 
 
 def test_synth_zero_rotation_is_identity():

@@ -6,8 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from srosda.dataio import (SynthSpec, TargetDataset, TargetEval, read_kv,
                            synth_generate)
-from srosda.evaluation import (MetricsReport, attribute_pr, attribute_pr_all,
-                               compute_report,
+from srosda.evaluation import (MetricsReport, attribute_pr_all, compute_report,
                                eval_openset, eval_semantic, harmonic_mean,
                                joint_features, load_report, save_report)
 from srosda.exceptions import ContractError, FormatError, ProtocolError
@@ -33,23 +32,49 @@ def test_harmonic_le_arithmetic(s, u):
     assert h <= (s + u) / 2.0 + 1e-12
 
 
+def attribute_pr_row(a_hat, a_true):
+    """Reference for one row of ``attribute_pr_all``: counts of the
+    predictions >= 0.5 against the 0/1 row ``a_true``, then the vacuous-case
+    rules one branch at a time."""
+    pred = np.asarray(a_hat) >= 0.5
+    true = np.asarray(a_true) > 0.5
+    tp = int(np.sum(pred & true))
+    fp = int(np.sum(pred & ~true))
+    fn = int(np.sum(~pred & true))
+    if tp + fp == 0:
+        precision = 1.0 if tp + fn == 0 else 0.0
+    else:
+        precision = tp / (tp + fp)
+    recall = 1.0 if tp + fn == 0 else tp / (tp + fn)
+    return precision, recall
+
+
+def pr_one(a_hat, a_true):
+    """``attribute_pr_all`` of a single sample whose class row is ``a_true``."""
+    target = TargetDataset(features=np.zeros((1, 1)),
+                           eval_data=TargetEval(labels=np.array([0]),
+                                                attr_table_full=np.array([a_true])))
+    (pair,) = attribute_pr_all(target, np.array([a_hat], dtype=np.float64))
+    return pair
+
+
 def test_attribute_pr_counting():
     # pred = [1,1,0,0], true = [1,0,1,0] -> tp=1 fp=1 fn=1
-    p, r = attribute_pr([0.9, 0.6, 0.2, 0.1], [1, 0, 1, 0])
+    p, r = pr_one([0.9, 0.6, 0.2, 0.1], [1, 0, 1, 0])
     assert p == pytest.approx(0.5)
     assert r == pytest.approx(0.5)
     # threshold is inclusive at 0.5
-    p, r = attribute_pr([0.5], [1])
+    p, r = pr_one([0.5], [1])
     assert (p, r) == (1.0, 1.0)
 
 
 def test_attribute_pr_vacuous_cases():
-    assert attribute_pr([0.1, 0.2], [0, 0]) == (1.0, 1.0)
-    assert attribute_pr([0.1, 0.2], [1, 0]) == (0.0, 0.0)
-    p, r = attribute_pr([0.9, 0.8], [0, 0])
+    assert pr_one([0.1, 0.2], [0, 0]) == (1.0, 1.0)
+    assert pr_one([0.1, 0.2], [1, 0]) == (0.0, 0.0)
+    p, r = pr_one([0.9, 0.8], [0, 0])
     assert p == 0.0 and r == 1.0
     with pytest.raises(ContractError):
-        attribute_pr([0.5], [1, 0])
+        pr_one([0.5], [1, 0])
 
 
 @st.composite
@@ -78,7 +103,7 @@ def attribute_problems(draw):
 def test_attribute_pr_all_matches_per_row(problem):
     target, a_hat = problem
     table, labels = target.eval_data.attr_table_full, target.eval_data.labels
-    want = [attribute_pr(a_hat[i], table[labels[i]])
+    want = [attribute_pr_row(a_hat[i], table[labels[i]])
             for i in range(a_hat.shape[0])]
     got = attribute_pr_all(target, a_hat)
     assert got == want

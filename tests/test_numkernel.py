@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from srosda import numkernel
 from srosda.exceptions import ContractError, DataError, SingularMatrixError
 from srosda.numkernel import (CONDITION_LIMIT, check_finite, class_means,
-                              inv_small, make_rng, pairwise_sq_dist,
-                              single_blas_thread, sq_dist, sq_norms, variance)
-
-finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False,
-                          allow_infinity=False)
+                              inv_small, make_rng, single_blas_thread, sq_dist,
+                              sq_norms)
 
 
 def test_make_rng_reproducible():
@@ -40,35 +36,6 @@ def test_class_means_absent_and_out_of_range_labels():
     assert present.tolist() == [True, False, True]
 
 
-def test_pairwise_sq_dist_small_oracle():
-    m = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]])
-    d2 = pairwise_sq_dist(m)
-    expected = np.array([[0.0, 25.0, 2.0],
-                         [25.0, 0.0, 13.0],
-                         [2.0, 13.0, 0.0]])
-    assert np.allclose(d2, expected, atol=1e-12)
-
-
-@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 6)),
-              elements=finite_floats))
-@settings(max_examples=60, deadline=None)
-def test_pairwise_sq_dist_properties(m):
-    d2 = pairwise_sq_dist(m)
-    assert np.array_equal(d2, d2.T)
-    assert np.all(np.diag(d2) == 0.0)
-    assert d2.min() >= 0.0
-    brute = ((m[:, None, :] - m[None, :, :]) ** 2).sum(axis=2)
-    scale = max(1.0, np.abs(m).max() ** 2)
-    assert np.allclose(d2, brute, atol=1e-7 * scale)
-
-
-def test_pairwise_sq_dist_rejects_bad_shapes():
-    with pytest.raises(ContractError):
-        pairwise_sq_dist(np.zeros(3))
-    with pytest.raises(ContractError):
-        pairwise_sq_dist(np.zeros((0, 3)))
-
-
 def test_sq_dist_rectangular():
     rng = make_rng(2)
     a, b = rng.normal(size=(7, 4)), rng.normal(size=(3, 4))
@@ -78,13 +45,6 @@ def test_sq_dist_rectangular():
     assert np.allclose(d2, brute, atol=1e-12)
     # passing the precomputed row norms of a changes no bit
     assert np.array_equal(sq_dist(a, b, sq_norms(a)), d2)
-
-
-def test_variance_oracle():
-    assert variance([1.0, 2.0, 3.0, 4.0]) == pytest.approx(1.25, abs=1e-14)
-    assert variance([5.0]) == 0.0
-    with pytest.raises(ContractError):
-        variance([])
 
 
 def test_inv_small_identity_and_analytic():

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
+from conftest import propagation_oracle
 from srosda import autodiff as ad
 from srosda.exceptions import ContractError, PropagationError
 from srosda.model import init_params
 from srosda.numkernel import make_rng
 from srosda.objective import (BCE_EPS, ObjectiveConfig, TrainBatch, ZPrototypes,
-                              batch_objective, build_adjacency,
-                              build_adjacency_t, compute_z_prototypes,
-                              loss_alignment_one_t, loss_attribute_t,
-                              loss_classifier_t, objective_grads,
-                              propagate_attributes, propagate_attributes_t,
-                              propagation_matrix, propagation_matrix_t,
-                              total_objective)
+                              batch_objective, build_adjacency_t,
+                              compute_z_prototypes, loss_alignment_one_t,
+                              loss_attribute_t, loss_classifier_t,
+                              objective_grads, propagate_attributes_t,
+                              propagation_matrix_t, total_objective)
 
 D_X, D_A, K_S, K = 6, 4, 3, 2
 
@@ -30,9 +29,18 @@ def test_compute_z_prototypes_means_and_presence():
 # ---------------------------------------------------------------------------
 # adjacency + propagation
 
+def adjacency(z):
+    adj, sigma2 = build_adjacency_t(ad.Tensor(z))
+    return adj.value, float(sigma2.value)
+
+
+def propagation(adj, beta):
+    return propagation_matrix_t(ad.Tensor(adj), beta).value
+
+
 def test_adjacency_hand_computed():
     z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
-    adj, sigma2 = build_adjacency(z)
+    adj, sigma2 = adjacency(z)
     # squared distances: d01=1, d02=4, d12=5; off-diagonal population
     # variance of [1,4,5,1,4,5] = mean 10/3, var 26/9
     assert sigma2 == pytest.approx(26.0 / 9.0, abs=1e-12)
@@ -43,21 +51,21 @@ def test_adjacency_hand_computed():
 
 
 def test_adjacency_tape_matches_plain():
-    z = make_rng(0).normal(size=(7, 3))
-    adj_p, sig_p = build_adjacency(z)
-    adj_t, sig_t = build_adjacency_t(ad.Tensor(z))
-    assert np.allclose(adj_t.value, adj_p, atol=1e-12)
-    assert float(sig_t.value) == pytest.approx(sig_p, abs=1e-12)
-    with pytest.raises(ContractError):
-        build_adjacency(z[:1])
+    rng = make_rng(0)
+    for _ in range(20):
+        z = rng.normal(size=(int(rng.integers(2, 33)), 3))
+        adj, sigma2 = adjacency(z)
+        adj_o, sigma2_o, _ = propagation_oracle(z, 0.2)
+        assert np.allclose(adj, adj_o, rtol=0.0, atol=1e-12)
+        assert sigma2 == pytest.approx(sigma2_o, rel=1e-12)
     with pytest.raises(ContractError):
         build_adjacency_t(ad.Tensor(z[:1]))
 
 
 def test_propagation_beta_zero_is_identity():
     z = make_rng(1).normal(size=(5, 3))
-    adj, _ = build_adjacency(z)
-    assert np.array_equal(propagation_matrix(adj, 0.0), np.eye(5))
+    adj, _ = adjacency(z)
+    assert np.array_equal(propagation(adj, 0.0), np.eye(5))
 
 
 def test_propagation_two_by_two_analytic():
@@ -65,7 +73,7 @@ def test_propagation_two_by_two_analytic():
     # W = (I - beta L)^-1 = [[1, beta], [beta, 1]] / (1 - beta^2)
     beta = 0.2
     adj = np.array([[0.0, 0.7], [0.7, 0.0]])
-    w = propagation_matrix(adj, beta)
+    w = propagation(adj, beta)
     expected = np.array([[1.0, beta], [beta, 1.0]]) / (1.0 - beta ** 2)
     assert np.allclose(w, expected, atol=1e-12)
 
@@ -75,51 +83,44 @@ def test_propagation_inverse_identity_random():
     beta = 0.2
     for _ in range(20):
         z = rng.normal(size=(rng.integers(2, 9), 3))
-        adj, _ = build_adjacency(z)
+        adj, _ = adjacency(z)
         deg = np.maximum(adj.sum(axis=1), 1e-12)
         dinv = 1.0 / np.sqrt(deg)
         lap = adj * np.outer(dinv, dinv)
-        w = propagation_matrix(adj, beta)
+        w = propagation(adj, beta)
         resid = np.abs(w @ (np.eye(adj.shape[0]) - beta * lap) - np.eye(adj.shape[0]))
         assert resid.max() <= 1e-8
 
 
 def test_propagation_tape_matches_plain_and_grad_flows():
-    z = make_rng(3).normal(size=(5, 3))
-    adj_p, _ = build_adjacency(z)
-    w_p = propagation_matrix(adj_p, 0.2)
+    rng = make_rng(3)
+    for _ in range(20):
+        z = rng.normal(size=(int(rng.integers(2, 33)), 3))
+        adj, _ = build_adjacency_t(ad.Tensor(z))
+        _, _, w_o = propagation_oracle(z, 0.2)
+        assert np.allclose(propagation_matrix_t(adj, 0.2).value, w_o,
+                           rtol=0.0, atol=1e-12)
     zt = ad.Tensor(z)
-    adj_t, _ = build_adjacency_t(zt)
-    w_t = propagation_matrix_t(adj_t, 0.2)
-    assert np.allclose(w_t.value, w_p, atol=1e-12)
-    ad.tsum(ad.square(w_t)).backward()
+    adj, _ = build_adjacency_t(zt)
+    ad.tsum(ad.square(propagation_matrix_t(adj, 0.2))).backward()
     assert zt.grad is not None and np.any(zt.grad != 0.0)
-
-
-def test_propagation_matrix_validates_input():
-    with pytest.raises(ContractError):
-        propagation_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]), 0.2)  # asymmetric
-    with pytest.raises(ContractError):
-        propagation_matrix(np.array([[1.0, 0.5], [0.5, 0.0]]), 0.2)  # diagonal
-    with pytest.raises(ContractError):
-        propagation_matrix(np.array([[0.0, -0.5], [-0.5, 0.0]]), 0.2)
 
 
 def test_propagation_singular_raises():
     # beta=1 on a connected pair makes I - L singular
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(PropagationError):
-        propagation_matrix(adj, 1.0)
+        propagation(adj, 1.0)
 
 
 def test_propagate_attributes_clipped():
-    w = np.eye(2)
+    w = np.array([[0.5, 0.5], [0.0, 1.0]])
     raw = np.array([[0.0, 1.0], [0.5, 0.5]])
-    out = propagate_attributes(w, raw)
+    out = propagate_attributes_t(ad.Tensor(np.eye(2)), ad.Tensor(raw)).value
     assert out.min() == BCE_EPS
     assert out.max() == 1.0 - BCE_EPS
-    out_t = propagate_attributes_t(ad.Tensor(w), ad.Tensor(raw))
-    assert np.array_equal(out_t.value, out)
+    out = propagate_attributes_t(ad.Tensor(w), ad.Tensor(raw)).value
+    assert np.array_equal(out, np.clip(w @ raw, BCE_EPS, 1.0 - BCE_EPS))
 
 
 # ---------------------------------------------------------------------------

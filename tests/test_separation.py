@@ -291,3 +291,13 @@ def test_progressive_separation_no_candidates():
     # data (identical points may still all refine back to one cluster)
     assert state.prototypes.unseen.shape == (1, 2)
     assert state.pseudo_label.shape == (8,)
+
+
+@pytest.mark.parametrize("domain", ["source", "target"])
+def test_progressive_separation_rejects_non_finite(domain):
+    s_feats, s_labels, t_feats, _ = two_domain_fixture()
+    feats = {"source": s_feats.copy(), "target": t_feats.copy()}
+    feats[domain][4, 1] = np.inf
+    with pytest.raises(DataError, match=f"{domain} features"):
+        run_progressive_separation(feats["source"], s_labels, 3,
+                                   feats["target"], SeparationConfig(k=2))

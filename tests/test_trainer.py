@@ -53,7 +53,7 @@ def test_config_validation():
     ("alpha", 2.0), ("alpha", -0.5),
     ("lambda1", float("inf")), ("lambda1", -1.0),
     ("lambda2", -1.0), ("lambda2", float("nan")),
-    ("separation_rounds", -1),
+    ("separation_rounds", -1), ("seed", -1),
 ])
 def test_config_validation_rejects_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -139,7 +139,7 @@ fuzz_configs = st.builds(
     alpha=edge_or_between(0.0, 1.0),
     beta=(edge_or_between(0.0, 1.0)
           | st.sampled_from([BETA_MAX, float(np.nextafter(1.0, 0.0))])),
-    seed=st.integers(0, 2**32),
+    seed=st.integers(-2**32, 2**32),
     refresh_period=st.integers(1, 3),
     separation_rounds=st.integers(0, 6),
     use_lr=st.booleans(), use_ld=st.booleans(), use_prop=st.booleans(),
@@ -149,27 +149,56 @@ fuzz_configs = st.builds(
 @given(fuzz_configs)
 @settings(max_examples=25, deadline=None)
 def test_validated_config_never_crashes(cfg):
-    """A config that validate() accepts trains one epoch and reports. It may
-    stop only with the errors that report what the data or the optimization
-    did: divergence (TrainingError, or DataError when an overflowed value
-    reaches a finiteness check first) or, without the quantile fallback, too
-    few unseen candidates (SeparationError)."""
+    """A config that validate() accepts trains one epoch and reports. Training
+    may stop only with the errors that report what the optimization did:
+    divergence (TrainingError) or, without the quantile fallback, too few
+    unseen candidates (SeparationError). Parameters that stayed finite but
+    grew huge may overflow in the report's forward (DataError)."""
     src, tgt = FUZZ_DATA
     try:
         cfg.validate(n_target=tgt.features.shape[0])
     except ConfigError:
         assume(False)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
             params, _, pseudo = train(cfg, src, tgt.features)
+        except TrainingError:
+            return
+        except SeparationError:
+            assert not cfg.quantile_fallback
+            return
+        try:
             report = compute_report(params, tgt, tau=pseudo.tau, epochs=1,
                                     seed=cfg.seed)
-    except (TrainingError, DataError):
-        return
-    except SeparationError:
-        assert not cfg.quantile_fallback
-        return
+        except DataError:
+            return
     assert report.confusion.sum() == tgt.features.shape[0]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # an overflowed activation reaches a finiteness check inside a step
+    (dict(lr=0.1, batch_size=2), "epoch 0, batch"),
+    # the last step overflows the parameters themselves
+    (dict(lr=2.1e307, lambda2=8.8e30), "final"),
+])
+def test_divergence_raises_training_error(overrides, message):
+    src, tgt = FUZZ_DATA
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match=message):
+            train(TrainConfig(k=2, epochs=1, **overrides), src, tgt.features)
+
+
+def test_train_rejects_non_finite_inputs():
+    # checked on entry, so a DataError is not mistaken for divergence later
+    src, tgt = FUZZ_DATA
+    features = tgt.features.copy()
+    features[3, 1] = np.nan
+    with pytest.raises(DataError, match="target features"):
+        train(small_cfg(epochs=1), src, features)
+    init = init_params(src.features.shape[1], src.d_a, src.k_s)
+    init.arrays["gz_w1"][0, 0] = np.inf
+    with pytest.raises(DataError, match="initial gz_w1"):
+        train(small_cfg(epochs=1), src, tgt.features, init=init)
 
 
 def test_make_batches_partition():
