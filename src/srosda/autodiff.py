@@ -104,8 +104,10 @@ def ensure(x):
 
 
 def _acc(t, g):
+    # the first gradient is kept as given, perhaps shared with another node
+    # or a view: no backward writes a grad array in place
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
 

@@ -253,6 +253,18 @@ def save_features(matrix, path):
         fh.write(matrix.astype("<f4").tobytes())
 
 
+def read_struct(fh, fmt, path, field):
+    """``struct.unpack(fmt)`` of the next bytes of the binary file ``fh``; a
+    file that ends first raises FormatError naming ``field``."""
+    at = fh.tell()
+    size = struct.calcsize(fmt)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"{path}: file ends inside {field} at byte {at} "
+                          f"({len(raw)} of {size} bytes)")
+    return struct.unpack(fmt, raw)
+
+
 def load_features(path):
     """Load a feature matrix from the binary format or, by extension ``.csv``,
     from comma-separated text."""
@@ -262,10 +274,10 @@ def load_features(path):
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
             raise FormatError(f"{path}: bad magic at byte 0 (got {magic!r})")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", path, "version")
         if version != FEATURE_VERSION:
             raise FormatError(f"{path}: unsupported version {version} at byte 4")
-        n, d = struct.unpack("<QQ", fh.read(16))
+        n, d = read_struct(fh, "<QQ", path, "shape (rows, columns)")
         raw = fh.read()
     expected = n * d * 4
     if len(raw) != expected:

@@ -10,6 +10,8 @@ tensors; ``forward_*`` validate their input and return that forward's value.
 Weights initialize uniform(+-sqrt(6 / fan_in)), biases zero.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Dict
@@ -17,6 +19,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from . import autodiff as ad
+from .dataio import read_struct
 from .exceptions import ContractError, FormatError
 from .numkernel import check_finite, make_rng
 
@@ -193,24 +196,31 @@ def load_checkpoint(path):
     except OSError as err:
         raise FormatError(f"cannot open checkpoint {path}: {err}") from None
     with fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"{path}: bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", path, "checkpoint version")
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = read_struct(fh, "<I", path, "layer count")
         if count != len(LAYER_NAMES):
             raise FormatError(f"{path}: expected {len(LAYER_NAMES)} layers, got {count}")
         arrays = {}
-        for name in LAYER_NAMES:
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-            n_bytes = int(np.prod(shape)) * 8
-            raw = fh.read(n_bytes)
-            if len(raw) != n_bytes:
+        for name, template in _layer_shapes(1, 1, 1).items():
+            (ndim,) = read_struct(fh, "<B", path, f"rank of layer {name}")
+            if ndim != len(template):
+                raise FormatError(f"{path}: layer {name} has rank {ndim}, "
+                                  f"expected {len(template)}")
+            shape = read_struct(fh, f"<{ndim}Q", path, f"shape of layer {name}")
+            n_bytes = math.prod(shape) * 8
+            if n_bytes > size - fh.tell():
                 raise FormatError(f"{path}: truncated layer {name}")
+            raw = fh.read(n_bytes)
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.tell() != size:
+            raise FormatError(f"{path}: {size - fh.tell()} trailing bytes after "
+                              f"the last layer")
     params = ModelParams(arrays)
     expected = _layer_shapes(params.d_x, params.d_a, params.k_s)
     for name, shape in expected.items():

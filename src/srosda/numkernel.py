@@ -1,5 +1,7 @@
 """Deterministic numeric substrate: squared distances, class means, small
-dense inverses, seeded RNG construction and a scoped BLAS single-thread pin.
+dense inverses (Gauss-Jordan on one n x n working array, with the same
+operations per entry as eliminating ``[M | I]``), seeded RNG construction and
+a scoped BLAS single-thread pin.
 
 Everything here is pure and double precision. Reductions rely on numpy's
 fixed left-to-right summation so repeated runs agree bitwise.
@@ -127,34 +129,51 @@ def class_means(x, labels, n):
 
 def inv_small(m):
     """Invert a small dense square matrix via Gauss-Jordan elimination with
-    partial pivoting.
+    partial pivoting, on one n x n working array.
 
-    Raises SingularMatrixError on a (near-)zero pivot or when the 1-norm
-    condition estimate exceeds CONDITION_LIMIT.
+    Every entry goes through the same floating-point operations as the
+    textbook elimination of ``[m | I]``, so the result has the same bits. At
+    step k left column k would become e_k and is never read again, so its
+    slot takes the column of the right half that the step fills first (until
+    then a unit vector, on which an update ``a - f*0`` changes nothing). The
+    slots are put back in column order at the end.
+
+    Raises ContractError on an empty, non-square or too large matrix, and
+    SingularMatrixError on a (near-)zero pivot or when the 1-norm condition
+    estimate exceeds CONDITION_LIMIT.
     """
     m = check_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractError("inv_small expects a square matrix")
     n = m.shape[0]
+    if n == 0:
+        raise ContractError("inv_small expects a non-empty matrix")
     if n > MAX_INVERSE_SIZE:
         raise ContractError(f"inv_small limited to n <= {MAX_INVERSE_SIZE}, got {n}")
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
-    aug = np.hstack([m, np.eye(n)])  # [m | I] -> [I | m^-1]
+    a = m.copy()
+    rows = np.arange(n)  # original row held at each position
+    update = np.empty((n, n))
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        pv = aug[piv, col]
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        pv = a[piv, col]
         if abs(pv) <= scale * 1e-13:
             raise SingularMatrixError(f"zero pivot at column {col}")
         if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        # columns left of col are never read again (the left half is discarded)
-        aug[col, col:] /= pv
-        factors = aug[:, col].copy()
+            a[[col, piv]] = a[[piv, col]]
+            rows[[col, piv]] = rows[[piv, col]]
+        factors = a[:, col].copy()
         factors[col] = 0.0
-        aug[:, col:] -= np.outer(factors, aug[col, col:])
-    inv = aug[:, n:].copy()
+        # slot col now holds right-half column rows[col]: the unit vector at col
+        a[:, col] = 0.0
+        a[col, col] = 1.0
+        a[col] /= pv
+        np.multiply(factors[:, None], a[col], out=update)
+        a -= update
+    inv = np.empty_like(a)
+    inv[:, rows] = a
     cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
     if cond > CONDITION_LIMIT:
         raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")

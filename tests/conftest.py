@@ -3,21 +3,24 @@
 Acceptance tests record one verdict line each; the terminal-summary hook
 replays them after the run so they are visible regardless of capture mode.
 The ``two_blas_threads`` fixture sets the process's BLAS thread count to 2.
-``propagation_oracle`` is the reference for attribute propagation.
+``propagation_oracle`` is the reference for attribute propagation and
+``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small``.
 """
 
 import numpy as np
 import pytest
 
-from srosda.numkernel import _blas_thread_control
+from srosda.exceptions import ContractError, SingularMatrixError
+from srosda.numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE,
+                              _blas_thread_control, check_finite)
 
 acceptance_verdicts = []
 
 
-def propagation_oracle(z, beta):
-    """(adjacency, sigma^2, W) of the points ``z`` by the textbook route:
-    broadcast squared distances, ``np.var`` of the off-diagonal and
-    ``np.linalg.inv(I - beta L)``. It shares no code with srosda."""
+def propagation_system(z, beta):
+    """(adjacency, sigma^2, I - beta L) of the points ``z`` by the textbook
+    route: broadcast squared distances and ``np.var`` of the off-diagonal.
+    It shares no code with srosda."""
     n = z.shape[0]
     d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2)
     off = ~np.eye(n, dtype=bool)
@@ -25,7 +28,46 @@ def propagation_oracle(z, beta):
     adj = np.where(off, np.exp(-d2 / sigma2), 0.0)
     dinv = 1.0 / np.sqrt(np.maximum(adj.sum(axis=1), 1e-12))
     lap = adj * np.outer(dinv, dinv)
-    return adj, sigma2, np.linalg.inv(np.eye(n) - beta * lap)
+    return adj, sigma2, np.eye(n) - beta * lap
+
+
+def propagation_oracle(z, beta):
+    """(adjacency, sigma^2, W) with W = ``np.linalg.inv(I - beta L)``."""
+    adj, sigma2, system = propagation_system(z, beta)
+    return adj, sigma2, np.linalg.inv(system)
+
+
+def gauss_jordan_oracle(m):
+    """Gauss-Jordan elimination of the n x 2n ``[m | I]`` with partial
+    pivoting: the textbook form of ``inv_small``, with its checks, limits
+    and messages. ``inv_small`` must return the same bytes."""
+    m = check_finite(m, "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ContractError("inv_small expects a square matrix")
+    n = m.shape[0]
+    if n > MAX_INVERSE_SIZE:
+        raise ContractError(f"inv_small limited to n <= {MAX_INVERSE_SIZE}, got {n}")
+    scale = np.abs(m).max()
+    if scale == 0.0:
+        raise SingularMatrixError("zero matrix is singular")
+    aug = np.hstack([m, np.eye(n)])  # [m | I] -> [I | m^-1]
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        pv = aug[piv, col]
+        if abs(pv) <= scale * 1e-13:
+            raise SingularMatrixError(f"zero pivot at column {col}")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        # columns left of col are never read again (the left half is discarded)
+        aug[col, col:] /= pv
+        factors = aug[:, col].copy()
+        factors[col] = 0.0
+        aug[:, col:] -= np.outer(factors, aug[col, col:])
+    inv = aug[:, n:].copy()
+    cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+    if cond > CONDITION_LIMIT:
+        raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")
+    return inv
 
 
 def pytest_terminal_summary(terminalreporter):

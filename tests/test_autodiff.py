@@ -152,6 +152,29 @@ def test_shared_subexpression_accumulates():
     assert float(t.grad) == pytest.approx(5.0, abs=1e-12)
 
 
+def test_gradient_array_shared_by_two_parents():
+    # add and concat hand one gradient array (or views of it) to both
+    # parents; the first is kept without a copy, so nothing may write it
+    rng = make_rng(5)
+    x = rng.normal(size=(3, 4))
+    w1, w2 = rng.normal(size=(3, 8)), rng.normal(size=(6, 4))
+
+    def plain(v):
+        s, a, b = v + v, v * w2[:3], np.exp(v)
+        return ((w1 * np.concatenate([s, s], axis=1)).sum()
+                + (w2 * np.concatenate([s, s * v], axis=0)).sum()
+                + np.square(a + b).sum() + (a * b).sum())
+
+    t = ad.Tensor(x)
+    s, a, b = t + t, t * w2[:3], ad.exp(t)
+    out = (ad.tsum(ad.concat([s, s], axis=1) * w1)
+           + ad.tsum(ad.concat([s, s * t], axis=0) * w2)
+           + ad.tsum(ad.square(a + b)) + ad.tsum(a * b))
+    out.backward()
+    assert out.item() == pytest.approx(plain(x), abs=1e-12)
+    assert np.allclose(t.grad, numeric_grad(plain, x), atol=1e-6)
+
+
 def test_backward_requires_scalar():
     with pytest.raises(ContractError):
         ad.Tensor(np.zeros(3)).backward()

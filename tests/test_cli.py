@@ -122,6 +122,16 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_truncated_checkpoint_exit(workspace, tmp_path, capsys):
+    _, data, out, _ = workspace
+    cut = tmp_path / "checkpoint.bin"
+    cut.write_bytes((out / "checkpoint.bin").read_bytes()[:12])
+    assert cli_main(["--quiet", "eval", "--checkpoint", str(cut),
+                     "--data", str(data), "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "layer count" in err
+
+
 def test_eval_malformed_meta_exit(workspace, tmp_path, capsys):
     _, data, out, _ = workspace
     meta = tmp_path / "meta.txt"

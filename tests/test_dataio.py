@@ -250,6 +250,22 @@ def test_feature_format_errors(tmp_path):
         load_features(bad)
 
 
+def test_feature_every_prefix(tmp_path):
+    path = tmp_path / "f.sros"
+    save_features(np.ones((2, 3)), path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.sros"
+    for end in range(len(raw)):
+        cut.write_bytes(raw[:end])
+        with pytest.raises(FormatError):
+            load_features(cut)
+    for end, field in [(6, "version"), (8, "shape"), (23, "shape"),
+                       (24, "payload"), (47, "payload")]:
+        cut.write_bytes(raw[:end])
+        with pytest.raises(FormatError, match=field):
+            load_features(cut)
+
+
 def test_feature_csv_fallback(tmp_path):
     path = tmp_path / "f.csv"
     path.write_text("1.5,2\n3,4.25\n")

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from srosda import autodiff as ad
+from srosda import model
 from srosda.exceptions import ContractError, FormatError
 from srosda.model import (GZ_HIDDEN, HEAD_HIDDEN, LAYER_NAMES, Z_DIM,
                           forward_c, forward_d, forward_ga, forward_gz,
@@ -155,3 +156,35 @@ def test_checkpoint_rejects_corruption(tmp_path, params):
         load_checkpoint(trunc)
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "missing.bin")
+
+
+def test_checkpoint_every_prefix_and_trailing_bytes(tmp_path, monkeypatch):
+    # the format does not depend on the layer widths; tiny ones keep the
+    # file at a few hundred bytes, so every cut can be tried
+    monkeypatch.setattr(model, "Z_DIM", 3)
+    monkeypatch.setattr(model, "GZ_HIDDEN", 4)
+    monkeypatch.setattr(model, "HEAD_HIDDEN", 2)
+    path = tmp_path / "model.bin"
+    params = init_params(2, 2, 1, seed=0)
+    save_checkpoint(params, path)
+    raw = path.read_bytes()
+    assert load_checkpoint(path).arrays.keys() == params.arrays.keys()
+    cut = tmp_path / "cut.bin"
+    for end in range(len(raw)):
+        cut.write_bytes(raw[:end])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+    for end, field in [(10, "checkpoint version"), (14, "layer count"),
+                       (16, "rank of layer gz_w1"), (20, "shape of layer gz_w1"),
+                       (33, "truncated layer gz_w1")]:
+        cut.write_bytes(raw[:end])
+        with pytest.raises(FormatError, match=field):
+            load_checkpoint(cut)
+    cut.write_bytes(raw + b"\0")
+    with pytest.raises(FormatError, match="1 trailing bytes"):
+        load_checkpoint(cut)
+    bad_rank = bytearray(raw)
+    bad_rank[16] = 1  # gz_w1 stored as a vector
+    cut.write_bytes(bytes(bad_rank))
+    with pytest.raises(FormatError, match="rank 1"):
+        load_checkpoint(cut)

@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import gauss_jordan_oracle, propagation_system
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srosda import numkernel
-from srosda.exceptions import ContractError, DataError, SingularMatrixError
+from srosda.exceptions import (ContractError, DataError, SingularMatrixError,
+                               SrosdaError)
 from srosda.numkernel import (CONDITION_LIMIT, check_finite, class_means,
                               inv_small, make_rng, single_blas_thread, sq_dist,
                               sq_norms)
@@ -90,6 +92,46 @@ def test_inv_small_contracts():
         inv_small(np.zeros((2, 3)))
     with pytest.raises(ContractError):
         inv_small(np.zeros((600, 600)))
+    with pytest.raises(ContractError):
+        inv_small(np.zeros((0, 0)))
+
+
+def _outcome(f, m):
+    """The bytes ``f(m)`` returns, or the type of the error it raises."""
+    try:
+        return f(m).tobytes()
+    except SrosdaError as err:
+        return type(err)
+
+
+def _test_matrix(kind, n, seed, tiny):
+    rng = make_rng(seed)
+    if kind == "random":
+        return rng.normal(size=(n, n))
+    if kind == "pivot":  # diagonally dominant, rows shuffled
+        m = rng.normal(size=(n, n)) + n * np.eye(n)
+        return m[rng.permutation(n)]
+    # near-singular: rank n - 1 plus a perturbation of size ``tiny``
+    u, v = rng.normal(size=(n, max(n - 1, 1))), rng.normal(size=(n, max(n - 1, 1)))
+    return u @ v.T + tiny * rng.normal(size=(n, n))
+
+
+@given(st.sampled_from(["random", "pivot", "near-singular"]),
+       st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-4, 1e-8, 1e-11, 1e-14, 0.0]))
+@settings(max_examples=150, deadline=None)
+def test_inv_small_matches_gauss_jordan_oracle(kind, n, seed, tiny):
+    m = _test_matrix(kind, n, seed, tiny)
+    with single_blas_thread():
+        assert _outcome(inv_small, m) == _outcome(gauss_jordan_oracle, m)
+
+
+@pytest.mark.parametrize("n", [28, 64, 360, 512])
+def test_inv_small_propagation_systems_match_oracle(n):
+    z = make_rng(n).normal(size=(n, 16))
+    _, _, system = propagation_system(z, 0.2)
+    with single_blas_thread():
+        assert inv_small(system).tobytes() == gauss_jordan_oracle(system).tobytes()
 
 
 def test_single_blas_thread_pins_and_restores(two_blas_threads):
