@@ -29,6 +29,7 @@ class TrainMeta:
     tau: float = float("nan")
     epochs: int = 0
     seed: int = 0
+    use_fusion: bool = True  # files written before this key were scored fused
 
 
 def cmd_synth(args):
@@ -61,7 +62,8 @@ def cmd_train(args):
     trainer.save_checkpoint_atomic(params, os.path.join(args.out, CHECKPOINT_FILE))
     trainer.save_history(history, os.path.join(args.out, HISTORY_FILE))
     dump_pseudo_state(pseudo, os.path.join(args.out, PSEUDO_FILE))
-    meta = TrainMeta(tau=history.final_tau, epochs=cfg.epochs, seed=cfg.seed)
+    meta = TrainMeta(tau=history.final_tau, epochs=cfg.epochs, seed=cfg.seed,
+                     use_fusion=cfg.use_fusion)
     dataio.write_kv(dataio.fields_to_kv(meta), os.path.join(args.out, META_FILE))
     if not args.quiet:
         print(f"trained {cfg.epochs} epochs; checkpoint in {args.out}")
@@ -78,7 +80,8 @@ def cmd_eval(args):
     if args.seed is not None:  # --seed wins over the meta file's seed
         meta = replace(meta, seed=args.seed)
     report = evaluation.compute_report(params, target, tau=meta.tau,
-                                       epochs=meta.epochs, seed=meta.seed)
+                                       epochs=meta.epochs, seed=meta.seed,
+                                       use_fusion=meta.use_fusion)
     evaluation.save_report(report, args.out)
     if not args.quiet:
         print(f"wrote report to {args.out}")

@@ -149,16 +149,16 @@ def attribute_pr_all(target: TargetDataset, a_hat):
 
 @single_blas_thread()
 def compute_report(params: ModelParams, target: TargetDataset, tau, epochs,
-                   seed, use_fusion=True, with_attr_pr=True) -> MetricsReport:
-    """Open-set, semantic and (optionally) attribute metrics of ``params`` on
-    ``target``, with BLAS pinned to one thread (see ``single_blas_thread``)."""
+                   seed, use_fusion=True) -> MetricsReport:
+    """Open-set, semantic and attribute metrics of ``params`` on ``target``,
+    with BLAS pinned to one thread (see ``single_blas_thread``)."""
     f, a_hat = joint_features(params, target.features, use_fusion)
     os_val, os_star, os_diamond, confusion = eval_openset(params, target, f)
     s, u, h = eval_semantic(params, target, f, a_hat)
-    attr_pr = attribute_pr_all(target, a_hat) if with_attr_pr else []
     return MetricsReport(os=os_val, os_star=os_star, os_diamond=os_diamond,
                          s=s, u=u, h=h, confusion=confusion, tau=float(tau),
-                         epochs=int(epochs), seed=int(seed), attr_pr=attr_pr)
+                         epochs=int(epochs), seed=int(seed),
+                         attr_pr=attribute_pr_all(target, a_hat))
 
 
 # ---------------------------------------------------------------------------

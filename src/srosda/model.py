@@ -14,7 +14,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Dict
 
 import numpy as np
 
@@ -139,39 +139,6 @@ def forward_d(params: ModelParams, f):
     logits = tape_forward_d_logits(param_tensors(params), f).value
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-def grad_check(loss_evaluator: Callable, params: ModelParams, eps=1e-5,
-               n_coords=200, seed=0):
-    """Compare analytic parameter gradients to central finite differences.
-
-    ``loss_evaluator(params)`` must return ``(value, grads)`` where grads maps
-    layer names to arrays; it must be pure in params. A random subset of at
-    least ``n_coords`` coordinates is probed; returns the max relative error
-    with denominator max(|g|, |g_fd|, 1e-8).
-    """
-    _, grads = loss_evaluator(params)
-    rng = make_rng(seed)
-    names = [n for n in LAYER_NAMES if n in params.arrays]
-    max_err = 0.0
-    for _ in range(n_coords):
-        name = names[rng.integers(len(names))]
-        arr = params.arrays[name]
-        flat = rng.integers(arr.size)
-        idx = np.unravel_index(flat, arr.shape)
-        probe = params.copy()
-        probe.arrays[name][idx] += eps
-        up, _ = loss_evaluator(probe)
-        probe.arrays[name][idx] -= 2.0 * eps
-        down, _ = loss_evaluator(probe)
-        fd = (up - down) / (2.0 * eps)
-        g = float(grads[name][idx]) if name in grads else 0.0
-        denom = max(abs(g), abs(fd), 1e-8)
-        max_err = max(max_err, abs(g - fd) / denom)
-    return max_err
 
 
 # ---------------------------------------------------------------------------

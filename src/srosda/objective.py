@@ -46,17 +46,6 @@ class BatchLossReport:
 
 
 @dataclass
-class ObjectiveConfig:
-    lambda1: float = 1e-4
-    lambda2: float = 0.1
-    beta: float = 0.2
-    use_lr: bool = True
-    use_ld: bool = True
-    use_prop: bool = True
-    use_fusion: bool = True
-
-
-@dataclass
 class TrainBatch:
     """One mixed mini-batch. Either domain part may be empty."""
     xs: np.ndarray            # ns x d_x
@@ -185,8 +174,12 @@ def total_objective(l_c, l_d, l_r_source, l_r_target, l_a, lambda1, lambda2):
 # full batch objective
 
 def batch_objective(params: ModelParams, batch: TrainBatch,
-                    rz: Optional[ZPrototypes], cfg: ObjectiveConfig):
+                    rz: Optional[ZPrototypes], cfg):
     """Assemble every enabled loss term for one batch on the tape.
+
+    ``cfg`` is the run's ``TrainConfig``; this reads its ``lambda1``,
+    ``lambda2``, ``beta`` and the ``use_lr`` / ``use_ld`` / ``use_prop`` /
+    ``use_fusion`` switches.
 
     Returns (total Tensor, BatchLossReport, param tensors, term Tensors);
     the last maps {"l_c", "l_d", "l_r", "l_a"} to unweighted loss nodes so

@@ -38,15 +38,6 @@ class PseudoState:
     prototypes: PrototypeSet
 
 
-@dataclass
-class SeparationConfig:
-    k: int
-    alpha: float = 0.001
-    rounds: int = 5
-    quantile_fallback: bool = False
-    seed: int = 0
-
-
 def init_prototypes(features, labels, k_s):
     """Per-class mean of source features; unseen set starts empty."""
     seen, present = class_means(features, labels, k_s)
@@ -177,19 +168,23 @@ def kmeans(points, k, init="kmeans++", rng=None):
 
 
 def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
-                               cfg: SeparationConfig) -> PseudoState:
+                               cfg) -> PseudoState:
     """Full separation procedure in a given feature space.
 
     1. source class means as seen prototypes;
-    2. ``cfg.rounds`` iterations of predict -> threshold split -> EMA update;
-    3. K-means over the unseen candidates gives the unseen prototypes;
+    2. ``cfg.separation_rounds`` iterations of predict -> threshold split ->
+       EMA update (rate ``cfg.alpha``);
+    3. K-means over the unseen candidates gives the ``cfg.k`` unseen
+       prototypes (k-means++ seeded by ``cfg.seed``); with fewer than k
+       candidates, ``cfg.quantile_fallback`` takes the least confident
+       samples instead, or SeparationError is raised;
     4. K-means over all target samples initialized at the combined prototype
        set refines the pseudo labels (each cluster keeps the identity of its
        initializing prototype);
     5. confidences recomputed prototypically against the final centers.
 
-    With rounds=0 and k=0 the result reduces to plain prototype prediction.
-    Non-finite features raise DataError.
+    ``cfg`` is the run's ``TrainConfig``. Non-finite features raise
+    DataError.
     """
     source_feats = check_finite(source_feats, "source features")
     target_feats = check_finite(target_feats, "target features")
@@ -197,15 +192,11 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
 
     labels, conf, _ = predict_all(target_feats, protos.seen)
     tau, seen_mask = split_seen_unseen(conf)
-    for _ in range(cfg.rounds):
+    for _ in range(cfg.separation_rounds):
         protos = update_prototypes_ema(protos, target_feats, labels, seen_mask,
                                        cfg.alpha)
         labels, conf, _ = predict_all(target_feats, protos.seen)
         tau, seen_mask = split_seen_unseen(conf)
-
-    if cfg.k == 0:
-        return PseudoState(pseudo_label=labels, confidence=conf, tau=tau,
-                           seen_mask=np.ones_like(seen_mask), prototypes=protos)
 
     unseen_idx = np.flatnonzero(~seen_mask)
     if unseen_idx.size < cfg.k:

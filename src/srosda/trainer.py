@@ -25,10 +25,9 @@ from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params, save_checkpoint
 from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, check_finite,
                         make_rng, single_blas_thread)
-from .objective import (BatchLossReport, ObjectiveConfig, TrainBatch,
-                        ZPrototypes, compute_z_prototypes, objective_grads,
-                        total_objective)
-from .separation import PseudoState, SeparationConfig, run_progressive_separation
+from .objective import (BatchLossReport, TrainBatch, ZPrototypes,
+                        compute_z_prototypes, objective_grads, total_objective)
+from .separation import PseudoState, run_progressive_separation
 
 # The propagation system I - beta L has its eigenvalues in [1 - beta, 1 + beta]
 # (L is a normalized affinity), so its 1-norm condition number is at most
@@ -82,18 +81,6 @@ class TrainConfig:
         if n_target is not None and self.k > n_target:
             raise ConfigError(f"k = {self.k} exceeds the {n_target} target samples")
 
-    def objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(lambda1=self.lambda1, lambda2=self.lambda2,
-                               beta=self.beta, use_lr=self.use_lr,
-                               use_ld=self.use_ld, use_prop=self.use_prop,
-                               use_fusion=self.use_fusion)
-
-    def separation(self) -> SeparationConfig:
-        return SeparationConfig(k=self.k, alpha=self.alpha,
-                                rounds=self.separation_rounds,
-                                quantile_fallback=self.quantile_fallback,
-                                seed=self.seed)
-
 
 def load_config(path) -> TrainConfig:
     cfg = read_dataclass(path, TrainConfig)
@@ -131,13 +118,11 @@ def make_batches(n_source, n_target, batch_size, rng):
 
 
 def sgd_step(params: ModelParams, grads, lr):
-    """theta <- theta - lr * g. Rejects non-finite gradients."""
+    """theta <- theta - lr * g. ``grads`` holds every layer (KeyError
+    otherwise); non-finite gradients are rejected."""
     new_arrays = {}
     for name, arr in params.arrays.items():
-        g = grads.get(name)
-        if g is None:
-            new_arrays[name] = arr.copy()
-            continue
+        g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in layer {name}")
         new_arrays[name] = arr - lr * g
@@ -163,7 +148,7 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
     else:
         raise ConfigError(f"unknown separation space {space!r}")
     state = run_progressive_separation(src_feats, source.labels, source.k_s,
-                                       tgt_feats, cfg.separation())
+                                       tgt_feats, cfg)
     z_t = tgt_feats if space == "z" else forward_gz(params, target_features)
     rz = compute_z_prototypes(z_t, state.pseudo_label, source.k_s + cfg.k)
     pseudo_attrs = np.zeros((tgt_feats.shape[0], source.d_a))
@@ -197,7 +182,6 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
             check_finite(arr, f"initial {name}")
     params = init.copy() if init is not None else init_params(
         source.features.shape[1], source.d_a, source.k_s, seed=cfg.seed)
-    obj_cfg = cfg.objective()
     rng = make_rng(cfg.seed + 1)
     history = TrainHistory()
 
@@ -225,8 +209,7 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
                     t_pseudo=pseudo.pseudo_label[t_idx],
                     t_seen_mask=pseudo.seen_mask[t_idx],
                     t_pseudo_attrs=pseudo_attrs[t_idx])
-                value, report, grads = objective_grads(params, batch, rz,
-                                                       obj_cfg)
+                value, report, grads = objective_grads(params, batch, rz, cfg)
                 if not np.isfinite(value):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}")

@@ -3,16 +3,20 @@
 Acceptance tests record one verdict line each; the terminal-summary hook
 replays them after the run so they are visible regardless of capture mode.
 The ``two_blas_threads`` fixture sets the process's BLAS thread count to 2.
-``propagation_oracle`` is the reference for attribute propagation and
-``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small``.
+``propagation_oracle`` is the reference for attribute propagation,
+``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small`` and
+``grad_check`` the finite-difference check of analytic gradients.
 """
+
+from typing import Callable
 
 import numpy as np
 import pytest
 
 from srosda.exceptions import ContractError, SingularMatrixError
+from srosda.model import LAYER_NAMES, ModelParams
 from srosda.numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE,
-                              _blas_thread_control, check_finite)
+                              _blas_thread_control, check_finite, make_rng)
 
 acceptance_verdicts = []
 
@@ -68,6 +72,36 @@ def gauss_jordan_oracle(m):
     if cond > CONDITION_LIMIT:
         raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")
     return inv
+
+
+def grad_check(loss_evaluator: Callable, params: ModelParams, eps=1e-5,
+               n_coords=200, seed=0):
+    """Compare analytic parameter gradients to central finite differences.
+
+    ``loss_evaluator(params)`` must return ``(value, grads)`` where grads maps
+    layer names to arrays; it must be pure in params. A random subset of at
+    least ``n_coords`` coordinates is probed; returns the max relative error
+    with denominator max(|g|, |g_fd|, 1e-8).
+    """
+    _, grads = loss_evaluator(params)
+    rng = make_rng(seed)
+    names = [n for n in LAYER_NAMES if n in params.arrays]
+    max_err = 0.0
+    for _ in range(n_coords):
+        name = names[rng.integers(len(names))]
+        arr = params.arrays[name]
+        flat = rng.integers(arr.size)
+        idx = np.unravel_index(flat, arr.shape)
+        probe = params.copy()
+        probe.arrays[name][idx] += eps
+        up, _ = loss_evaluator(probe)
+        probe.arrays[name][idx] -= 2.0 * eps
+        down, _ = loss_evaluator(probe)
+        fd = (up - down) / (2.0 * eps)
+        g = float(grads[name][idx]) if name in grads else 0.0
+        denom = max(abs(g), abs(fd), 1e-8)
+        max_err = max(max_err, abs(g - fd) / denom)
+    return max_err
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -17,13 +17,14 @@ import conftest
 from srosda import autodiff as ad
 from srosda.dataio import SynthSpec, default_synth_spec, synth_generate
 from srosda.evaluation import compute_report, load_report, save_report
-from srosda.model import (ModelParams, grad_check, init_params,
-                          load_checkpoint, save_checkpoint)
+from conftest import grad_check
+from srosda.model import (ModelParams, init_params, load_checkpoint,
+                          save_checkpoint)
 from srosda.numkernel import make_rng
-from srosda.objective import (ObjectiveConfig, TrainBatch, batch_objective,
-                              build_adjacency_t, compute_z_prototypes,
-                              objective_grads, propagation_matrix_t)
-from srosda.separation import SeparationConfig, kmeans, run_progressive_separation
+from srosda.objective import (TrainBatch, batch_objective, build_adjacency_t,
+                              compute_z_prototypes, objective_grads,
+                              propagation_matrix_t)
+from srosda.separation import kmeans, run_progressive_separation
 from srosda.trainer import TrainConfig, train
 from srosda import dataio
 
@@ -81,7 +82,7 @@ def _grad_check_batch():
 def test_criterion_1_gradients():
     start = time.time()
     params, batch, rz = _grad_check_batch()
-    cfg = ObjectiveConfig()
+    cfg = TrainConfig(k=2)
 
     def term_evaluator(term):
         def ev(p):
@@ -183,8 +184,7 @@ def test_criterion_3_metric_identities():
         tgt = dataio.TargetDataset(
             features=feats,
             eval_data=dataio.TargetEval(labels=labels, attr_table_full=table))
-        rep = compute_report(params, tgt, tau=0.5, epochs=1, seed=0,
-                             with_attr_pr=False)
+        rep = compute_report(params, tgt, tau=0.5, epochs=1, seed=0)
         os_err = abs(rep.os - (3 * rep.os_star + rep.os_diamond) / 4.0)
         if rep.s + rep.u > 0:
             h_err = abs(rep.h - 2.0 * rep.s * rep.u / (rep.s + rep.u))
@@ -258,14 +258,16 @@ def _train_and_report(pilot_data, **overrides):
         cfg = TrainConfig(k=K, epochs=100, seed=PILOT_SEED, **overrides)
         params, history, pseudo = train(cfg, src, tgt.features)
         _run_cache[key] = compute_report(params, tgt, tau=pseudo.tau,
-                                         epochs=cfg.epochs, seed=cfg.seed)
+                                         epochs=cfg.epochs, seed=cfg.seed,
+                                         use_fusion=cfg.use_fusion)
     return _run_cache[key]
 
 
 def test_criterion_5_separation_quality(pilot_data):
     start = time.time()
     src, tgt = pilot_data
-    cfg = SeparationConfig(k=K, alpha=0.001, rounds=5, seed=PILOT_SEED)
+    cfg = TrainConfig(k=K, alpha=0.001, separation_rounds=5, seed=PILOT_SEED,
+                      quantile_fallback=False)
     state = run_progressive_separation(src.features, src.labels, K_S,
                                        tgt.features, cfg)
     labels = tgt.eval_data.labels

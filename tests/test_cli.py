@@ -60,7 +60,8 @@ def test_train_outputs(workspace):
     assert pseudo[0] == "sample_id\tpseudo_label\tconfidence\tseen_flag"
     assert len(pseudo) == 31
     meta = dict(dataio.read_kv(out / "train_meta.txt"))
-    assert set(meta) == {"tau", "epochs", "seed"}
+    assert set(meta) == {"tau", "epochs", "seed", "use_fusion"}
+    assert meta["use_fusion"] == "true"
     assert meta["epochs"] == "2"
 
 
@@ -103,6 +104,47 @@ def test_eval_seed_overrides_meta(workspace, tmp_path):
     assert meta["seed"] == "3"
     assert report.seed == 5
     assert report.epochs == 2 and report.tau == float(meta["tau"])
+
+
+def _scored_bytes(tmp_path, out, data, meta, use_fusion):
+    """Report bytes of ``compute_report`` on the run in ``out``."""
+    expected = tmp_path / f"expected_{use_fusion}.txt"
+    evaluation.save_report(evaluation.compute_report(
+        load_checkpoint(out / "checkpoint.bin"),
+        dataio.load_target(data, with_eval=True), tau=float(meta["tau"]),
+        epochs=int(meta["epochs"]), seed=int(meta["seed"]),
+        use_fusion=use_fusion), expected)
+    return expected.read_bytes()
+
+
+def test_eval_scores_without_fusion_when_trained_without(workspace, tmp_path):
+    _, data, _, _ = workspace
+    cfg = tmp_path / "config.txt"
+    write_config(cfg, use_fusion="false")
+    out = tmp_path / "run"
+    assert cli_main(["--quiet", "train", "--config", str(cfg),
+                     "--data", str(data), "--out", str(out)]) == 0
+    meta = dict(dataio.read_kv(out / "train_meta.txt"))
+    assert meta["use_fusion"] == "false"
+    report_path = tmp_path / "report.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(report_path)]) == 0
+    assert report_path.read_bytes() == _scored_bytes(tmp_path, out, data,
+                                                     meta, False)
+
+
+def test_eval_meta_without_fusion_key_scores_fused(workspace, tmp_path):
+    _, data, out, _ = workspace
+    meta = dict(dataio.read_kv(out / "train_meta.txt"))
+    old_meta = tmp_path / "meta.txt"
+    dataio.write_kv([(k, meta[k]) for k in ("tau", "epochs", "seed")], old_meta)
+    report_path = tmp_path / "report.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(report_path), "--meta", str(old_meta)]) == 0
+    assert report_path.read_bytes() == _scored_bytes(tmp_path, out, data,
+                                                     meta, True)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):

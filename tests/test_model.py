@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import grad_check
 from srosda import autodiff as ad
 from srosda import model
 from srosda.exceptions import ContractError, FormatError
 from srosda.model import (GZ_HIDDEN, HEAD_HIDDEN, LAYER_NAMES, Z_DIM,
                           forward_c, forward_d, forward_ga, forward_gz,
-                          grad_check, init_params, load_checkpoint,
-                          param_tensors, save_checkpoint, tape_forward_c,
+                          init_params, load_checkpoint, param_tensors,
+                          save_checkpoint, tape_forward_c,
                           tape_forward_d_logits, tape_forward_ga,
                           tape_forward_gz)
 from srosda.numkernel import make_rng

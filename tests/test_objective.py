@@ -6,12 +6,13 @@ from srosda import autodiff as ad
 from srosda.exceptions import ContractError, PropagationError
 from srosda.model import init_params
 from srosda.numkernel import make_rng
-from srosda.objective import (BCE_EPS, ObjectiveConfig, TrainBatch, ZPrototypes,
+from srosda.objective import (BCE_EPS, TrainBatch, ZPrototypes,
                               batch_objective, build_adjacency_t,
                               compute_z_prototypes, loss_alignment_one_t,
                               loss_attribute_t, loss_classifier_t,
                               objective_grads, propagate_attributes_t,
                               propagation_matrix_t, total_objective)
+from srosda.trainer import TrainConfig
 
 D_X, D_A, K_S, K = 6, 4, 3, 2
 
@@ -204,7 +205,7 @@ def make_rz(params, batch):
 def test_batch_objective_report_consistent():
     params = init_params(D_X, D_A, K_S, seed=0)
     batch = make_batch()
-    cfg = ObjectiveConfig()
+    cfg = TrainConfig(k=K)
     total, report, _, terms = batch_objective(params, batch,
                                               make_rz(params, batch), cfg)
     recomputed = (report.l_c + report.l_d
@@ -237,7 +238,7 @@ def test_batch_objective_joint_feature_rows(monkeypatch):
     n_seen = int(batch.t_seen_mask.sum())
     n_unseen = batch.xt.shape[0] - n_seen
     assert n_seen > 0 and n_unseen > 0
-    batch_objective(params, batch, make_rz(params, batch), ObjectiveConfig())
+    batch_objective(params, batch, make_rz(params, batch), TrainConfig(k=K))
     assert rows == {"c": 2 * ns + 2 * n_seen + n_unseen,
                     "d": 2 * n_seen + n_unseen}
 
@@ -247,17 +248,17 @@ def test_batch_objective_toggles():
     batch = make_batch()
     rz = make_rz(params, batch)
     _, off_ld, _, _ = batch_objective(params, batch, rz,
-                                   ObjectiveConfig(use_ld=False))
+                                   TrainConfig(k=K, use_ld=False))
     assert off_ld.l_d == 0.0
     _, off_lr, _, _ = batch_objective(params, batch, rz,
-                                   ObjectiveConfig(use_lr=False))
+                                   TrainConfig(k=K, use_lr=False))
     assert off_lr.l_r_source == 0.0 and off_lr.l_r_target == 0.0
-    _, on, _, _ = batch_objective(params, batch, rz, ObjectiveConfig())
+    _, on, _, _ = batch_objective(params, batch, rz, TrainConfig(k=K))
     _, off_prop, _, _ = batch_objective(params, batch, rz,
-                                     ObjectiveConfig(use_prop=False))
+                                     TrainConfig(k=K, use_prop=False))
     assert off_prop.l_a != pytest.approx(on.l_a)  # propagation changes a-hat
     _, off_fus, _, _ = batch_objective(params, batch, rz,
-                                    ObjectiveConfig(use_fusion=False))
+                                    TrainConfig(k=K, use_fusion=False))
     assert off_fus.l_c != pytest.approx(on.l_c)  # zeroed attribute half
 
 
@@ -270,28 +271,28 @@ def test_batch_objective_single_domain_batches():
                              xt=np.empty((0, D_X)), t_pseudo=empty_i,
                              t_seen_mask=np.empty(0, dtype=bool),
                              t_pseudo_attrs=np.empty((0, D_A)))
-    _, report, _, _ = batch_objective(params, source_only, rz, ObjectiveConfig())
+    _, report, _, _ = batch_objective(params, source_only, rz, TrainConfig(k=K))
     assert report.l_d == 0.0 and report.l_r_target == 0.0 and report.l_c > 0.0
     target_only = TrainBatch(xs=np.empty((0, D_X)), ys=empty_i,
                              src_attrs=np.empty((0, D_A)),
                              xt=full.xt, t_pseudo=full.t_pseudo,
                              t_seen_mask=full.t_seen_mask,
                              t_pseudo_attrs=full.t_pseudo_attrs)
-    _, report, _, _ = batch_objective(params, target_only, rz, ObjectiveConfig())
+    _, report, _, _ = batch_objective(params, target_only, rz, TrainConfig(k=K))
     assert report.l_r_source == 0.0 and report.l_c > 0.0
     with pytest.raises(ContractError):
         batch_objective(params, TrainBatch(
             xs=np.empty((0, D_X)), ys=empty_i, src_attrs=np.empty((0, D_A)),
             xt=np.empty((0, D_X)), t_pseudo=empty_i,
             t_seen_mask=np.empty(0, dtype=bool),
-            t_pseudo_attrs=np.empty((0, D_A))), rz, ObjectiveConfig())
+            t_pseudo_attrs=np.empty((0, D_A))), rz, TrainConfig(k=K))
 
 
 def test_objective_grads_finite_and_nonzero():
     params = init_params(D_X, D_A, K_S, seed=0)
     batch = make_batch()
     value, report, grads = objective_grads(params, batch, make_rz(params, batch),
-                                           ObjectiveConfig())
+                                           TrainConfig(k=K))
     assert np.isfinite(value)
     for name, g in grads.items():
         assert g.shape == params.arrays[name].shape
@@ -303,8 +304,8 @@ def test_objective_grads_deterministic():
     params = init_params(D_X, D_A, K_S, seed=0)
     batch = make_batch()
     rz = make_rz(params, batch)
-    v1, _, g1 = objective_grads(params, batch, rz, ObjectiveConfig())
-    v2, _, g2 = objective_grads(params, batch, rz, ObjectiveConfig())
+    v1, _, g1 = objective_grads(params, batch, rz, TrainConfig(k=K))
+    v2, _, g2 = objective_grads(params, batch, rz, TrainConfig(k=K))
     assert v1 == v2
     for name in g1:
         assert np.array_equal(g1[name], g2[name])

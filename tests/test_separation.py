@@ -6,10 +6,10 @@ import pytest
 from srosda.exceptions import ContractError, DataError, SeparationError
 from srosda.numkernel import class_means, make_rng, sq_dist
 from srosda.separation import (KMEANS_MAX_ITER, KMEANS_TOL, PrototypeSet,
-                               SeparationConfig, _kmeans_pp_init,
-                               init_prototypes, kmeans, predict_all,
-                               run_progressive_separation, split_seen_unseen,
-                               update_prototypes_ema)
+                               _kmeans_pp_init, init_prototypes, kmeans,
+                               predict_all, run_progressive_separation,
+                               split_seen_unseen, update_prototypes_ema)
+from srosda.trainer import TrainConfig
 
 
 def test_init_prototypes_class_means():
@@ -237,7 +237,7 @@ def two_domain_fixture(seed=0, n=40):
 
 def test_progressive_separation_recovers_structure():
     s_feats, s_labels, t_feats, t_labels = two_domain_fixture()
-    cfg = SeparationConfig(k=2, rounds=5, seed=0)
+    cfg = TrainConfig(k=2, separation_rounds=5, seed=0, quantile_fallback=False)
     state = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
     seen_true = t_labels < 3
     # seen samples keep their class
@@ -259,7 +259,7 @@ def test_progressive_separation_recovers_structure():
 
 def test_progressive_separation_deterministic():
     s_feats, s_labels, t_feats, _ = two_domain_fixture()
-    cfg = SeparationConfig(k=2, rounds=3, seed=7)
+    cfg = TrainConfig(k=2, separation_rounds=3, seed=7, quantile_fallback=False)
     a = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
     b = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
     assert np.array_equal(a.pseudo_label, b.pseudo_label)
@@ -267,14 +267,12 @@ def test_progressive_separation_deterministic():
     assert a.tau == b.tau
 
 
-def test_progressive_separation_k_zero_plain_prediction():
-    s_feats, s_labels, t_feats, t_labels = two_domain_fixture()
-    cfg = SeparationConfig(k=0, rounds=0, seed=0)
-    state = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
-    labels, conf, _ = predict_all(t_feats, init_prototypes(s_feats, s_labels, 3).seen)
-    assert np.array_equal(state.pseudo_label, labels)
-    assert np.array_equal(state.confidence, conf)
-    assert np.all(state.seen_mask)
+def test_progressive_separation_k_zero_rejected():
+    # validate() requires k >= 1; an unvalidated k = 0 stops in kmeans
+    s_feats, s_labels, t_feats, _ = two_domain_fixture()
+    cfg = TrainConfig(k=0, separation_rounds=0, seed=0)
+    with pytest.raises(ContractError, match="k >= 1"):
+        run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
 
 
 def test_progressive_separation_no_candidates():
@@ -282,10 +280,10 @@ def test_progressive_separation_no_candidates():
     s_feats = np.array([[5.0, 0.0], [5.2, 0.0], [0.0, 5.0], [0.0, 5.1]])
     s_labels = np.array([0, 0, 1, 1])
     t_feats = np.tile([5.1, 0.0], (8, 1))
-    cfg = SeparationConfig(k=1, rounds=1, seed=0, quantile_fallback=False)
+    cfg = TrainConfig(k=1, separation_rounds=1, seed=0, quantile_fallback=False)
     with pytest.raises(SeparationError):
         run_progressive_separation(s_feats, s_labels, 2, t_feats, cfg)
-    cfg = SeparationConfig(k=1, rounds=1, seed=0, quantile_fallback=True)
+    cfg = TrainConfig(k=1, separation_rounds=1, seed=0, quantile_fallback=True)
     state = run_progressive_separation(s_feats, s_labels, 2, t_feats, cfg)
     # fallback completes and yields a full prototype set even on degenerate
     # data (identical points may still all refine back to one cluster)
@@ -300,4 +298,5 @@ def test_progressive_separation_rejects_non_finite(domain):
     feats[domain][4, 1] = np.inf
     with pytest.raises(DataError, match=f"{domain} features"):
         run_progressive_separation(feats["source"], s_labels, 3,
-                                   feats["target"], SeparationConfig(k=2))
+                                   feats["target"],
+                                   TrainConfig(k=2, quantile_fallback=False))

@@ -228,6 +228,8 @@ def test_sgd_step_linear():
     out = sgd_step(params, grads, 0.5)
     for n in LAYER_NAMES:
         assert np.allclose(out.arrays[n], params.arrays[n] - 0.5, atol=1e-15)
+    with pytest.raises(KeyError, match="c_b2"):
+        sgd_step(params, {n: g for n, g in grads.items() if n != "c_b2"}, 0.5)
     grads["gz_w1"] = grads["gz_w1"] * np.nan
     with pytest.raises(TrainingError):
         sgd_step(params, grads, 0.5)
