@@ -1,10 +1,15 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Covers exactly the primitive set the training objective needs: affine maps,
-ReLU, logistic, exp/log/sqrt, reductions, concatenation, row gathering,
-clipping, softmax cross-entropy and dense matrix inversion. Gradients through
-the inverse use dW = -W^T g W^T, so losses may differentiate through the
-attribute-propagation solve.
+Covers exactly the primitive set the training objective needs: the fused
+dense layer ``affine(x, w, b, relu)``, matmul, logistic, exp/log/sqrt,
+reductions, concatenation, row gathering, clipping, softmax cross-entropy and
+dense matrix inversion. Gradients through the inverse use dW = -W^T g W^T, so
+losses may differentiate through the attribute-propagation solve.
+
+An explicit ``Tensor(v)`` is a differentiable leaf; a raw ndarray that an op
+wraps with ``ensure`` is a constant. A node needs a gradient if and only if
+one of its parents does; a node that needs none keeps neither its parents
+nor its backward closure, so the tape holds only what backward reads.
 """
 
 import numpy as np
@@ -17,18 +22,22 @@ SQRT_GRAD_FLOOR = 1e-12
 
 class Tensor:
     """A node in the computation graph. Leaf tensors have no parents; calling
-    ``backward()`` on a scalar output accumulates ``grad`` on every node."""
+    ``backward()`` on a scalar output accumulates ``grad`` on every node that
+    ``needs_grad``."""
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward")
 
     # defer to Tensor's reflected operators when mixed with ndarrays
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), backward=None):
+    def __init__(self, value, parents=(), backward=None, needs_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        if parents:
+            needs_grad = any(p.needs_grad for p in parents)
+        self.needs_grad = needs_grad
+        self._parents = parents if needs_grad else ()
+        self._backward = backward if needs_grad else None
 
     @property
     def shape(self):
@@ -100,12 +109,15 @@ def _topo_order(root):
 
 
 def ensure(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """``x`` itself if a Tensor, else ``x`` as a constant."""
+    return x if isinstance(x, Tensor) else Tensor(x, needs_grad=False)
 
 
 def _acc(t, g):
     # the first gradient is kept as given, perhaps shared with another node
     # or a view: no backward writes a grad array in place
+    if not t.needs_grad:
+        return
     if t.grad is None:
         t.grad = np.asarray(g, dtype=np.float64)
     else:
@@ -181,10 +193,37 @@ def matmul(a, b):
     out_val = a.value @ b.value
 
     def back(g):
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
+        if a.needs_grad:
+            _acc(a, g @ b.value.T)
+        if b.needs_grad:
+            _acc(b, a.value.T @ g)
 
     return Tensor(out_val, (a, b), back)
+
+
+def affine(x, w, b, relu=False):
+    """x @ w + b as one node, optionally followed by ReLU (kept as ``h * mask``
+    so negative pre-activations give -0.0)."""
+    x, w, b = ensure(x), ensure(w), ensure(b)
+    if x.value.ndim != 2 or w.value.ndim != 2:
+        raise ContractError("affine supports 2-D operands only")
+    h = x.value @ w.value
+    h += b.value
+    mask = None
+    if relu:
+        mask = h > 0.0
+        h *= mask
+
+    def back(g):
+        if mask is not None:
+            g = g * mask
+        if x.needs_grad:
+            _acc(x, g @ w.value.T)
+        if w.needs_grad:
+            _acc(w, x.value.T @ g)
+        _acc(b, _unbroadcast(g, b.value.shape))
+
+    return Tensor(h, (x, w, b), back)
 
 
 def transpose(a):
@@ -194,16 +233,6 @@ def transpose(a):
         _acc(a, g.T)
 
     return Tensor(a.value.T, (a,), back)
-
-
-def relu(a):
-    a = ensure(a)
-    mask = a.value > 0.0
-
-    def back(g):
-        _acc(a, g * mask)
-
-    return Tensor(a.value * mask, (a,), back)
 
 
 def sigmoid(a):

@@ -5,8 +5,9 @@ G_A: 512 -> 256 -> d_a (ReLU hidden, logistic output)
 C:   (512 + d_a) -> 256 -> k_s + 1
 D:   (512 + d_a) -> 256 -> 2
 
-Each network has one forward definition, ``tape_forward_*``, built on autodiff
-tensors; ``forward_*`` validate their input and return that forward's value.
+Each network has one forward definition, ``tape_forward_*``: two fused
+``autodiff.affine`` nodes, the first with ReLU. ``forward_*`` validate their
+input and run that forward on the raw arrays: constants, so no tape is kept.
 Weights initialize uniform(+-sqrt(6 / fan_in)), biases zero.
 """
 
@@ -89,26 +90,26 @@ def param_tensors(params: ModelParams) -> Dict[str, ad.Tensor]:
     return {name: ad.Tensor(arr) for name, arr in params.arrays.items()}
 
 
-def _affine(pt, x, w, b):
-    return ad.add(ad.matmul(x, pt[w]), pt[b])  # (h,) bias broadcasts over rows
+def _two_layers(pt, x, net):
+    """``net``'s w2/b2 layer over its ReLU w1/b1 layer."""
+    h = ad.affine(x, pt[net + "_w1"], pt[net + "_b1"], relu=True)
+    return ad.affine(h, pt[net + "_w2"], pt[net + "_b2"])
 
 
 def tape_forward_gz(pt, x):
-    return _affine(pt, ad.relu(_affine(pt, ad.ensure(x), "gz_w1", "gz_b1")),
-                   "gz_w2", "gz_b2")
+    return _two_layers(pt, x, "gz")
 
 
 def tape_forward_ga(pt, z):
-    return ad.sigmoid(_affine(pt, ad.relu(_affine(pt, z, "ga_w1", "ga_b1")),
-                              "ga_w2", "ga_b2"))
+    return ad.sigmoid(_two_layers(pt, z, "ga"))
 
 
 def tape_forward_c(pt, f):
-    return _affine(pt, ad.relu(_affine(pt, f, "c_w1", "c_b1")), "c_w2", "c_b2")
+    return _two_layers(pt, f, "c")
 
 
 def tape_forward_d_logits(pt, f):
-    return _affine(pt, ad.relu(_affine(pt, f, "d_w1", "d_b1")), "d_w2", "d_b2")
+    return _two_layers(pt, f, "d")
 
 
 def _check_input(x, dim, what):
@@ -120,23 +121,23 @@ def _check_input(x, dim, what):
 
 def forward_gz(params: ModelParams, x):
     x = _check_input(x, params.d_x, "G_Z input")
-    return tape_forward_gz(param_tensors(params), x).value
+    return tape_forward_gz(params.arrays, x).value
 
 
 def forward_ga(params: ModelParams, z):
     z = _check_input(z, Z_DIM, "G_A input")
-    return tape_forward_ga(param_tensors(params), z).value
+    return tape_forward_ga(params.arrays, z).value
 
 
 def forward_c(params: ModelParams, f):
     f = _check_input(f, Z_DIM + params.d_a, "C input")
-    return tape_forward_c(param_tensors(params), f).value
+    return tape_forward_c(params.arrays, f).value
 
 
 def forward_d(params: ModelParams, f):
     """Softmaxed (seen, unseen) probability pairs; rows sum to 1."""
     f = _check_input(f, Z_DIM + params.d_a, "D input")
-    logits = tape_forward_d_logits(param_tensors(params), f).value
+    logits = tape_forward_d_logits(params.arrays, f).value
     shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
 

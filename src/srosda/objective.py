@@ -197,7 +197,7 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     d_x = params.d_x
     x_all = np.vstack([np.asarray(batch.xs, dtype=np.float64).reshape(ns, d_x),
                        np.asarray(batch.xt, dtype=np.float64).reshape(nt, d_x)])
-    z = tape_forward_gz(pt, ad.Tensor(x_all))
+    z = tape_forward_gz(pt, x_all)  # a constant: no input gradient
     raw = tape_forward_ga(pt, z)
     if cfg.use_prop and n >= 2:
         adj, _ = build_adjacency_t(z)

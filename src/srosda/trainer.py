@@ -118,15 +118,14 @@ def make_batches(n_source, n_target, batch_size, rng):
 
 
 def sgd_step(params: ModelParams, grads, lr):
-    """theta <- theta - lr * g. ``grads`` holds every layer (KeyError
-    otherwise); non-finite gradients are rejected."""
-    new_arrays = {}
-    for name, arr in params.arrays.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
+    """theta <- theta - lr * g, in place. ``grads`` holds every layer
+    (KeyError otherwise); a non-finite gradient raises TrainingError before
+    any layer changes."""
+    for name in params.arrays:
+        if not np.all(np.isfinite(grads[name])):
             raise TrainingError(f"non-finite gradient in layer {name}")
-        new_arrays[name] = arr - lr * g
-    return ModelParams(new_arrays)
+    for name, arr in params.arrays.items():
+        arr -= lr * grads[name]
 
 
 @single_blas_thread()
@@ -213,7 +212,7 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
                 if not np.isfinite(value):
                     raise TrainingError(
                         f"non-finite loss at epoch {epoch}, batch {n_batches}")
-                params = sgd_step(params, grads, cfg.lr)
+                sgd_step(params, grads, cfg.lr)
                 sums += (report.l_c, report.l_d, report.l_r_source,
                          report.l_r_target, report.l_a)
                 n_batches += 1

@@ -4,7 +4,8 @@ Acceptance tests record one verdict line each; the terminal-summary hook
 replays them after the run so they are visible regardless of capture mode.
 The ``two_blas_threads`` fixture sets the process's BLAS thread count to 2.
 ``propagation_oracle`` is the reference for attribute propagation,
-``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small`` and
+``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small``,
+``affine_oracle`` the bitwise reference for ``autodiff.affine`` and
 ``grad_check`` the finite-difference check of analytic gradients.
 """
 
@@ -13,6 +14,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
+from srosda import autodiff as ad
 from srosda.exceptions import ContractError, SingularMatrixError
 from srosda.model import LAYER_NAMES, ModelParams
 from srosda.numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE,
@@ -72,6 +74,14 @@ def gauss_jordan_oracle(m):
     if cond > CONDITION_LIMIT:
         raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")
     return inv
+
+
+def affine_oracle(x, w, b, relu=False):
+    """The unfused tape that ``autodiff.affine`` replaces: ``matmul``, then
+    ``add``, then for ReLU ``v * (v > 0)``. ``affine`` must give the same
+    value and gradient bytes."""
+    h = ad.add(ad.matmul(x, w), b)
+    return h * (h.value > 0.0) if relu else h
 
 
 def grad_check(loss_evaluator: Callable, params: ModelParams, eps=1e-5,

