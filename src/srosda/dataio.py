@@ -26,6 +26,14 @@ FEATURE_MAGIC = b"SROS"
 FEATURE_VERSION = 1
 
 
+def _check_annotations(labels, table, what, k_name):
+    """DataError unless every label indexes a row of the 0/1 ``table``."""
+    if labels.min(initial=0) < 0 or (labels.size and labels.max() >= table.shape[0]):
+        raise DataError(f"{what} label outside [0, {k_name})")
+    if not np.isin(table, (0, 1)).all():
+        raise DataError("attribute table must be 0/1 valued")
+
+
 @dataclass(frozen=True)
 class SourceDataset:
     """Labeled, attribute-annotated source domain."""
@@ -35,11 +43,7 @@ class SourceDataset:
 
     def __post_init__(self):
         check_finite(self.features, "source features")
-        k_s = self.attr_table_seen.shape[0]
-        if self.labels.min(initial=0) < 0 or (self.labels.size and self.labels.max() >= k_s):
-            raise DataError("source label outside [0, k_s)")
-        if not np.isin(self.attr_table_seen, (0, 1)).all():
-            raise DataError("attribute table must be 0/1 valued")
+        _check_annotations(self.labels, self.attr_table_seen, "source", "k_s")
 
     @property
     def k_s(self):
@@ -59,6 +63,9 @@ class TargetEval:
     """Ground truth reserved for evaluation; never handed to training code."""
     labels: np.ndarray           # N_t ints in [0, k_t)
     attr_table_full: np.ndarray  # k_t x d_a, 0/1
+
+    def __post_init__(self):
+        _check_annotations(self.labels, self.attr_table_full, "eval", "k_t")
 
 
 @dataclass(frozen=True)
@@ -266,10 +273,7 @@ def read_struct(fh, fmt, path, field):
 
 
 def load_features(path):
-    """Load a feature matrix from the binary format or, by extension ``.csv``,
-    from comma-separated text."""
-    if str(path).endswith(".csv"):
-        return _load_features_csv(path)
+    """Load a feature matrix from a binary ``SROS`` feature file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != FEATURE_MAGIC:
@@ -283,31 +287,6 @@ def load_features(path):
     if len(raw) != expected:
         raise FormatError(f"{path}: payload length {len(raw)} at byte 24, expected {expected}")
     data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(n, d)
-    if not np.all(np.isfinite(data)):
-        raise FormatError(f"{path}: non-finite feature values")
-    return data
-
-
-def _load_features_csv(path):
-    rows = []
-    width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as err:
-                raise FormatError(f"{path}: bad value at line {lineno}: {err}") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise FormatError(f"{path}: ragged row at line {lineno}")
-            rows.append(row)
-    if not rows:
-        raise FormatError(f"{path}: empty feature file")
-    data = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite feature values")
     return data
@@ -341,7 +320,7 @@ def save_attribute_table(table, path):
             fh.write(f"{cid},{bits}\n")
 
 
-def load_attribute_table(path, expected_d_a=None):
+def load_attribute_table(path):
     """CSV ``class_id,bit,...`` with dense ids 0..K-1; returns the K x d_a
     binary table sorted by class id."""
     entries = {}
@@ -372,8 +351,6 @@ def load_attribute_table(path, expected_d_a=None):
     missing = sorted(set(range(k)) - set(entries))
     if missing:
         raise FormatError(f"{path}: missing class ids {missing}; ids must be dense 0..K-1")
-    if expected_d_a is not None and width != expected_d_a:
-        raise FormatError(f"{path}: expected d_a={expected_d_a}, found {width}")
     return np.asarray([entries[c] for c in range(k)], dtype=np.int64)
 
 
@@ -470,16 +447,16 @@ def fields_from_kv(values, cls):
             for f in fields(cls) if f.type in _FIELD_PARSERS}
 
 
-def read_dataclass(path, cls, **defaults):
+def read_dataclass(path, cls):
     """An instance of dataclass ``cls`` from a ``key = value`` file.
 
     Each value is parsed by its field's type: ``int``, ``float``, or ``bool``
-    written ``true``/``false``. Keys absent from the file take ``defaults``,
-    then the field defaults. Unknown keys, malformed values and missing
-    required fields raise ConfigError.
+    written ``true``/``false``. Keys absent from the file take the field
+    defaults. Unknown keys, malformed values and missing required fields
+    raise ConfigError.
     """
     types = {f.name: f.type for f in fields(cls)}
-    kwargs = dict(defaults)
+    kwargs = {}
     for key, value in read_kv(path):
         if key not in types:
             raise ConfigError(f"{path}: unknown key {key!r}")

@@ -101,14 +101,12 @@ def sq_norms(a):
     return np.einsum("ij,ij->i", a, a)
 
 
-def sq_dist(a, b, a_sq=None):
+def sq_dist(a, b, a_sq):
     """Squared Euclidean distances of the rows of ``a`` to the rows of ``b``
     by the expansion |a|^2 + |b|^2 - 2 a.b^T: one gemm, no (n, m, d)
     temporary. Not clamped, so cancellation can leave tiny negatives.
-    ``a_sq`` is ``sq_norms(a)`` when the caller already has it.
+    ``a_sq`` is ``sq_norms(a)``, computed once by a caller that loops on b.
     """
-    if a_sq is None:
-        a_sq = sq_norms(a)
     return a_sq[:, None] + sq_norms(b)[None, :] - 2.0 * (a @ b.T)
 
 

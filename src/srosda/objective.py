@@ -191,8 +191,6 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     n = ns + nt
     if n == 0:
         raise ContractError("empty batch")
-    d_a = params.d_a
-    k_s = params.k_s
 
     d_x = params.d_x
     x_all = np.vstack([np.asarray(batch.xs, dtype=np.float64).reshape(ns, d_x),
@@ -206,50 +204,46 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     else:
         ahat = ad.clip(raw, BCE_EPS, 1.0 - BCE_EPS)
 
-    def joint(z_rows, attrs, n_rows):
-        if not cfg.use_fusion:
-            attrs = np.zeros((n_rows, d_a))
-        return ad.concat([z_rows, ad.ensure(attrs)], axis=1)
-
     seen_idx = np.flatnonzero(batch.t_seen_mask)
     unseen_idx = np.flatnonzero(~batch.t_seen_mask)
 
-    zs = ad.gather_rows(z, np.arange(ns)) if ns else None
-    zt_seen = ad.gather_rows(z, ns + seen_idx) if seen_idx.size else None
-    zt_unseen = ad.gather_rows(z, ns + unseen_idx) if unseen_idx.size else None
-    ahat_s = ad.gather_rows(ahat, np.arange(ns)) if ns else None
-    ahat_seen = ad.gather_rows(ahat, ns + seen_idx) if seen_idx.size else None
-    ahat_unseen = ad.gather_rows(ahat, ns + unseen_idx) if unseen_idx.size else None
+    # each joint-feature group once: (z rows, attribute half, C labels,
+    # D label); source groups have no D label
+    groups = []
+    zs = ahat_s = ahat_seen = None
+    if ns:
+        zs = ad.gather_rows(z, np.arange(ns))
+        ahat_s = ad.gather_rows(ahat, np.arange(ns))
+        groups += [(zs, batch.src_attrs, batch.ys, None),
+                   (zs, ahat_s, batch.ys, None)]
+    if seen_idx.size:
+        zt_seen = ad.gather_rows(z, ns + seen_idx)
+        ahat_seen = ad.gather_rows(ahat, ns + seen_idx)
+        pseudo_seen = batch.t_pseudo[seen_idx]
+        groups += [(zt_seen, batch.t_pseudo_attrs[seen_idx], pseudo_seen, 0),
+                   (zt_seen, ahat_seen, pseudo_seen, 0)]
+    if unseen_idx.size:
+        groups.append((ad.gather_rows(z, ns + unseen_idx),
+                       ad.gather_rows(ahat, ns + unseen_idx),
+                       np.full(unseen_idx.size, params.k_s), 1))
+    if not cfg.use_fusion:
+        groups = [(z_rows, np.zeros((z_rows.shape[0], params.d_a)), c, d)
+                  for z_rows, _, c, d in groups]
+
+    def joint_rows(gs):
+        """The groups' joint features stacked, on fresh concat nodes."""
+        return ad.concat([ad.concat([z_rows, ad.ensure(attrs)], axis=1)
+                          for z_rows, attrs, _, _ in gs], axis=0)
 
     # classifier C: every member of each sample's joint-feature set contributes
-    c_feats, c_labels = [], []
-    if ns:
-        c_feats += [joint(zs, batch.src_attrs, ns), joint(zs, ahat_s, ns)]
-        c_labels += [batch.ys, batch.ys]
-    if seen_idx.size:
-        pseudo_seen = batch.t_pseudo[seen_idx]
-        c_feats += [joint(zt_seen, batch.t_pseudo_attrs[seen_idx], seen_idx.size),
-                    joint(zt_seen, ahat_seen, seen_idx.size)]
-        c_labels += [pseudo_seen, pseudo_seen]
-    if unseen_idx.size:
-        c_feats.append(joint(zt_unseen, ahat_unseen, unseen_idx.size))
-        c_labels.append(np.full(unseen_idx.size, k_s))
-    l_c = loss_classifier_t(tape_forward_c(pt, ad.concat(c_feats, axis=0)),
-                            np.concatenate(c_labels))
-
-    # binary head D over target joint features only
-    if cfg.use_ld and nt:
-        d_feats, d_labels = [], []
-        if seen_idx.size:
-            d_feats += [joint(zt_seen, batch.t_pseudo_attrs[seen_idx], seen_idx.size),
-                        joint(zt_seen, ahat_seen, seen_idx.size)]
-            d_labels += [np.zeros(seen_idx.size), np.zeros(seen_idx.size)]
-        if unseen_idx.size:
-            d_feats.append(joint(zt_unseen, ahat_unseen, unseen_idx.size))
-            d_labels.append(np.ones(unseen_idx.size))
+    l_c = loss_classifier_t(tape_forward_c(pt, joint_rows(groups)),
+                            np.concatenate([g[2] for g in groups]))
+    # binary head D (seen 0, unseen 1) over the target groups only
+    target_groups = [g for g in groups if g[3] is not None]
+    if cfg.use_ld and target_groups:
         l_d = loss_classifier_t(
-            tape_forward_d_logits(pt, ad.concat(d_feats, axis=0)),
-            np.concatenate(d_labels))
+            tape_forward_d_logits(pt, joint_rows(target_groups)),
+            np.concatenate([np.full(len(g[2]), g[3]) for g in target_groups]))
     else:
         l_d = ad.Tensor(0.0)
 

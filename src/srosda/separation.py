@@ -1,9 +1,9 @@
 """Progressive seen/unseen separation of the unlabeled target domain.
 
 Produces pseudo labels (0..k_s-1 = seen class, k_s..k_s+k-1 = unseen
-cluster), per-sample confidences, the split threshold tau and the combined
-prototype set. Prototype scoring uses cosine distance; clustering uses
-Euclidean distance. All tie-breaks go to the lowest index.
+cluster), per-sample confidences, the split threshold tau and the final
+centers (seen rows first). Prototype scoring uses cosine distance;
+clustering uses Euclidean distance. All tie-breaks go to the lowest index.
 """
 
 from dataclasses import dataclass
@@ -19,31 +19,20 @@ KMEANS_TOL = 1e-6  # stop once no center moves this far
 
 
 @dataclass
-class PrototypeSet:
-    seen: np.ndarray    # k_s x d
-    unseen: np.ndarray  # k x d (0 x d before clustering)
-
-    def stacked(self):
-        if self.unseen.size == 0:
-            return self.seen
-        return np.vstack([self.seen, self.unseen])
-
-
-@dataclass
 class PseudoState:
     pseudo_label: np.ndarray  # N_t ints in [0, k_s + k)
     confidence: np.ndarray    # N_t reals in (0, 1]
     tau: float
     seen_mask: np.ndarray     # N_t bools, True iff pseudo_label < k_s
-    prototypes: PrototypeSet
+    centers: np.ndarray       # (k_s + k) x d, the seen rows first
 
 
 def init_prototypes(features, labels, k_s):
-    """Per-class mean of source features; unseen set starts empty."""
+    """The (k_s, d) seen prototypes: per-class means of source features."""
     seen, present = class_means(features, labels, k_s)
     if not present.all():
         raise DataError(f"class {np.argmin(present)} has no source samples")
-    return PrototypeSet(seen=seen, unseen=np.empty((0, seen.shape[1])))
+    return seen
 
 
 def _cosine_dist_matrix(x, protos):
@@ -89,18 +78,17 @@ def split_seen_unseen(confidences):
     return tau, confidences >= tau
 
 
-def update_prototypes_ema(protos: PrototypeSet, target_feats, labels, seen_mask,
-                          alpha):
-    """Blend each seen prototype toward the mean of its confident target
-    samples: mu <- (1 - alpha) mu + alpha * mean. Classes with no confident
-    samples keep their prototype."""
+def update_prototypes_ema(seen, target_feats, labels, seen_mask, alpha):
+    """New (k_s, d) seen prototypes: each row of ``seen`` blended toward the
+    mean of its confident target samples, mu <- (1 - alpha) mu + alpha * mean.
+    Classes with no confident samples keep their prototype."""
     if not 0.0 <= alpha <= 1.0:
         raise ContractError("alpha must be in [0, 1]")
     means, present = class_means(target_feats, np.where(seen_mask, labels, -1),
-                                 protos.seen.shape[0])
-    new_seen = protos.seen.copy()
+                                 seen.shape[0])
+    new_seen = seen.copy()
     new_seen[present] = (1.0 - alpha) * new_seen[present] + alpha * means[present]
-    return PrototypeSet(seen=new_seen, unseen=protos.unseen.copy())
+    return new_seen
 
 
 def _kmeans_pp_init(points, k, rng):
@@ -178,9 +166,9 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
        prototypes (k-means++ seeded by ``cfg.seed``); with fewer than k
        candidates, ``cfg.quantile_fallback`` takes the least confident
        samples instead, or SeparationError is raised;
-    4. K-means over all target samples initialized at the combined prototype
-       set refines the pseudo labels (each cluster keeps the identity of its
-       initializing prototype);
+    4. K-means over all target samples initialized at the seen prototypes
+       stacked over the unseen ones refines the pseudo labels (each cluster
+       keeps the identity of its initializing prototype);
     5. confidences recomputed prototypically against the final centers.
 
     ``cfg`` is the run's ``TrainConfig``. Non-finite features raise
@@ -188,14 +176,14 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
     """
     source_feats = check_finite(source_feats, "source features")
     target_feats = check_finite(target_feats, "target features")
-    protos = init_prototypes(source_feats, source_labels, k_s)
+    seen = init_prototypes(source_feats, source_labels, k_s)
 
-    labels, conf, _ = predict_all(target_feats, protos.seen)
+    labels, conf, _ = predict_all(target_feats, seen)
     tau, seen_mask = split_seen_unseen(conf)
     for _ in range(cfg.separation_rounds):
-        protos = update_prototypes_ema(protos, target_feats, labels, seen_mask,
-                                       cfg.alpha)
-        labels, conf, _ = predict_all(target_feats, protos.seen)
+        seen = update_prototypes_ema(seen, target_feats, labels, seen_mask,
+                                     cfg.alpha)
+        labels, conf, _ = predict_all(target_feats, seen)
         tau, seen_mask = split_seen_unseen(conf)
 
     unseen_idx = np.flatnonzero(~seen_mask)
@@ -211,15 +199,12 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
 
     rng = make_rng(cfg.seed)
     eta, _, _ = kmeans(target_feats[unseen_idx], cfg.k, init="kmeans++", rng=rng)
-    protos = PrototypeSet(seen=protos.seen, unseen=eta)
-
     centers, assignment, _ = kmeans(target_feats, k_s + cfg.k,
-                                    init=protos.stacked())
-    final_protos = PrototypeSet(seen=centers[:k_s], unseen=centers[k_s:])
+                                    init=np.vstack([seen, eta]))
     _, conf, probs = predict_all(target_feats, centers)
     conf = probs[np.arange(target_feats.shape[0]), assignment]
     return PseudoState(pseudo_label=assignment, confidence=conf, tau=tau,
-                       seen_mask=assignment < k_s, prototypes=final_protos)
+                       seen_mask=assignment < k_s, centers=centers)
 
 
 def dump_pseudo_state(state: PseudoState, path):

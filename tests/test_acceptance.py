@@ -20,7 +20,7 @@ from srosda.evaluation import compute_report, load_report, save_report
 from conftest import grad_check
 from srosda.model import (ModelParams, init_params, load_checkpoint,
                           save_checkpoint)
-from srosda.numkernel import make_rng
+from srosda.numkernel import make_rng, single_blas_thread
 from srosda.objective import (TrainBatch, batch_objective, build_adjacency_t,
                               compute_z_prototypes, objective_grads,
                               propagation_matrix_t)
@@ -112,13 +112,15 @@ def test_criterion_1_gradients():
                "l_a": nets["gz"] + nets["ga"]}
     errs = {}
     ok = True
-    for term, layers in depends.items():
-        probe = ModelParams({n: params.arrays[n] for n in layers})
-        errs[term] = grad_check(term_evaluator(term), probe, eps=GRAD_EPS,
-                                n_coords=120, seed=5)
-        ok = ok and errs[term] <= GRAD_TOL
-    errs["total"] = grad_check(total_evaluator, params, eps=GRAD_EPS,
-                               n_coords=200, seed=5)
+    # the training step runs BLAS on one thread; check that same computation
+    with single_blas_thread():
+        for term, layers in depends.items():
+            probe = ModelParams({n: params.arrays[n] for n in layers})
+            errs[term] = grad_check(term_evaluator(term), probe, eps=GRAD_EPS,
+                                    n_coords=120, seed=5)
+            ok = ok and errs[term] <= GRAD_TOL
+        errs["total"] = grad_check(total_evaluator, params, eps=GRAD_EPS,
+                                   n_coords=200, seed=5)
     ok = ok and errs["total"] <= GRAD_TOL
     elapsed = time.time() - start
     ok = ok and elapsed < 60.0

@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,19 @@ def test_train_negative_seed_exit(workspace, tmp_path, capsys):
                      "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
+
+
+@pytest.mark.parametrize("label", [99, -1])
+def test_eval_label_out_of_range_exit(workspace, tmp_path, label, capsys):
+    _, data, out, _ = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    labels = dataio.load_labels(copy / dataio.EVAL_LABELS)
+    labels[0] = label
+    dataio.save_labels(labels, copy / dataio.EVAL_LABELS)
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(copy),
+                     "--out", str(tmp_path / "r.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "eval label" in err
+    assert not (tmp_path / "r.txt").exists()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srosda import dataio
-from srosda.dataio import (SourceDataset, SynthSpec,
+from srosda.dataio import (SourceDataset, SynthSpec, TargetEval,
                            default_synth_spec, load_attribute_table,
                            load_features, load_labels, load_source, load_target,
                            read_kv, save_attribute_table, save_dataset,
@@ -32,6 +32,18 @@ def test_source_dataset_validation():
     with pytest.raises(DataError):
         SourceDataset(features=feats * np.nan, labels=np.array([0, 1, 0, 1]),
                       attr_table_seen=table)
+
+
+def test_target_eval_validation():
+    table = np.array([[0, 1], [1, 0], [1, 1]])
+    TargetEval(labels=np.array([0, 2, 1]), attr_table_full=table)
+    TargetEval(labels=np.empty(0, dtype=np.int64), attr_table_full=table)
+    for labels in ([0, -1, 1], [3, 0, 1]):
+        with pytest.raises(DataError, match="eval label"):
+            TargetEval(labels=np.array(labels), attr_table_full=table)
+    with pytest.raises(DataError, match="0/1"):
+        TargetEval(labels=np.array([0, 1]),
+                   attr_table_full=np.array([[0, 1], [1, 2]]))
 
 
 def test_sample_attributes():
@@ -266,21 +278,6 @@ def test_feature_every_prefix(tmp_path):
             load_features(cut)
 
 
-def test_feature_csv_fallback(tmp_path):
-    path = tmp_path / "f.csv"
-    path.write_text("1.5,2\n3,4.25\n")
-    assert np.array_equal(load_features(path), [[1.5, 2.0], [3.0, 4.25]])
-    (tmp_path / "ragged.csv").write_text("1,2\n3\n")
-    with pytest.raises(FormatError, match="ragged"):
-        load_features(tmp_path / "ragged.csv")
-    (tmp_path / "junk.csv").write_text("1,abc\n")
-    with pytest.raises(FormatError):
-        load_features(tmp_path / "junk.csv")
-    (tmp_path / "empty.csv").write_text("")
-    with pytest.raises(FormatError, match="empty"):
-        load_features(tmp_path / "empty.csv")
-
-
 # ---------------------------------------------------------------------------
 # labels and attribute tables
 
@@ -316,9 +313,6 @@ def test_attribute_table_errors(tmp_path):
     p.write_text("0,0,1\n1,1\n")
     with pytest.raises(FormatError, match="ragged"):
         load_attribute_table(p)
-    p.write_text("0,0,1\n")
-    with pytest.raises(FormatError, match="d_a"):
-        load_attribute_table(p, expected_d_a=3)
 
 
 # ---------------------------------------------------------------------------

@@ -218,29 +218,39 @@ def test_batch_objective_report_consistent():
 
 def test_batch_objective_joint_feature_rows(monkeypatch):
     # C sees two joint features per source and per seen target sample and one
-    # per unseen target sample; D sees the target ones only
+    # per unseen target sample; D sees the target ones only, the same rows as
+    # C's from 2 * ns on
     from srosda import objective
-    rows = {}
+    inputs = {}
 
-    def counting(name, forward):
+    def capturing(name, forward):
         def wrapped(pt, f):
-            rows[name] = f.shape[0]
+            inputs[name] = f.value.copy()
             return forward(pt, f)
         return wrapped
 
     monkeypatch.setattr(objective, "tape_forward_c",
-                        counting("c", objective.tape_forward_c))
+                        capturing("c", objective.tape_forward_c))
     monkeypatch.setattr(objective, "tape_forward_d_logits",
-                        counting("d", objective.tape_forward_d_logits))
+                        capturing("d", objective.tape_forward_d_logits))
     params = init_params(D_X, D_A, K_S, seed=0)
     batch = make_batch()
+    rz = make_rz(params, batch)
     ns = batch.xs.shape[0]
     n_seen = int(batch.t_seen_mask.sum())
     n_unseen = batch.xt.shape[0] - n_seen
     assert n_seen > 0 and n_unseen > 0
-    batch_objective(params, batch, make_rz(params, batch), TrainConfig(k=K))
-    assert rows == {"c": 2 * ns + 2 * n_seen + n_unseen,
-                    "d": 2 * n_seen + n_unseen}
+    for use_fusion in (True, False):
+        inputs.clear()
+        batch_objective(params, batch, rz,
+                        TrainConfig(k=K, use_fusion=use_fusion))
+        c, d = inputs["c"], inputs["d"]
+        assert c.shape[0] == 2 * ns + 2 * n_seen + n_unseen
+        assert d.shape[0] == 2 * n_seen + n_unseen
+        assert c[2 * ns:].tobytes() == d.tobytes()
+        # the attribute half is exactly zero without fusion, and only then
+        zero_attrs = [not f[:, -D_A:].any() for f in (c, d)]
+        assert zero_attrs == [not use_fusion] * 2
 
 
 def test_batch_objective_toggles():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from srosda.exceptions import ContractError, DataError, SeparationError
-from srosda.numkernel import class_means, make_rng, sq_dist
-from srosda.separation import (KMEANS_MAX_ITER, KMEANS_TOL, PrototypeSet,
-                               _kmeans_pp_init, init_prototypes, kmeans,
-                               predict_all, run_progressive_separation,
-                               split_seen_unseen, update_prototypes_ema)
+from srosda.numkernel import class_means, make_rng, sq_dist, sq_norms
+from srosda.separation import (KMEANS_MAX_ITER, KMEANS_TOL, _kmeans_pp_init,
+                               init_prototypes, kmeans, predict_all,
+                               run_progressive_separation, split_seen_unseen,
+                               update_prototypes_ema)
 from srosda.trainer import TrainConfig
 
 
@@ -16,17 +16,9 @@ def test_init_prototypes_class_means():
     feats = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 0.0]])
     labels = np.array([0, 0, 1])
     protos = init_prototypes(feats, labels, 2)
-    assert np.array_equal(protos.seen, [[1.0, 1.0], [4.0, 0.0]])
-    assert protos.unseen.shape == (0, 2)
+    assert np.array_equal(protos, [[1.0, 1.0], [4.0, 0.0]])
     with pytest.raises(DataError):
         init_prototypes(feats, labels, 3)
-
-
-def test_prototype_set_stacked():
-    p = PrototypeSet(seen=np.ones((2, 3)), unseen=np.empty((0, 3)))
-    assert p.stacked().shape == (2, 3)
-    p = PrototypeSet(seen=np.ones((2, 3)), unseen=np.zeros((1, 3)))
-    assert p.stacked().shape == (3, 3)
 
 
 def test_predict_all_two_prototype_oracle():
@@ -88,17 +80,16 @@ def test_split_seen_unseen_threshold_inclusive():
 
 
 def test_ema_update_formula():
-    protos = PrototypeSet(seen=np.array([[0.0, 0.0], [10.0, 10.0]]),
-                          unseen=np.empty((0, 2)))
+    protos = np.array([[0.0, 0.0], [10.0, 10.0]])
     feats = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 9.0]])
     labels = np.array([0, 0, 1])
     seen_mask = np.array([True, True, False])
     out = update_prototypes_ema(protos, feats, labels, seen_mask, alpha=0.5)
     # class 0 blends toward mean [3, 0]; class 1 has no confident member
-    assert np.allclose(out.seen[0], [1.5, 0.0], atol=1e-12)
-    assert np.array_equal(out.seen[1], [10.0, 10.0])
-    # original object untouched
-    assert np.array_equal(protos.seen[0], [0.0, 0.0])
+    assert np.allclose(out[0], [1.5, 0.0], atol=1e-12)
+    assert np.array_equal(out[1], [10.0, 10.0])
+    # original array untouched
+    assert np.array_equal(protos[0], [0.0, 0.0])
     with pytest.raises(ContractError):
         update_prototypes_ema(protos, feats, labels, seen_mask, alpha=1.5)
 
@@ -201,7 +192,7 @@ def test_kmeans_matches_broadcast_lloyd_bitwise(k, seed):
 def test_kmeans_every_point_a_center_clamps_at_zero():
     points = 100.0 + 10.0 * make_rng(7).normal(size=(20, 7))
     # the unclamped expansion leaves negative self-distances on this cloud
-    assert (np.diag(sq_dist(points, points)) < 0.0).any()
+    assert (np.diag(sq_dist(points, points, sq_norms(points))) < 0.0).any()
     centers, assign, inertia = kmeans(points, points.shape[0], init=points)
     assert np.array_equal(assign, np.arange(points.shape[0]))
     assert np.array_equal(centers, points)
@@ -247,8 +238,7 @@ def test_progressive_separation_recovers_structure():
     assert np.all(state.seen_mask == (state.pseudo_label < 3))
     assert state.confidence.min() > 0.0 and state.confidence.max() <= 1.0
     assert 0.0 < state.tau < 1.0
-    assert state.prototypes.seen.shape == (3, 3)
-    assert state.prototypes.unseen.shape == (2, 3)
+    assert state.centers.shape == (5, 3)
     # each unseen cluster is pure (majority vote)
     for c in (3, 4):
         members = t_labels[state.pseudo_label == c]
@@ -285,9 +275,9 @@ def test_progressive_separation_no_candidates():
         run_progressive_separation(s_feats, s_labels, 2, t_feats, cfg)
     cfg = TrainConfig(k=1, separation_rounds=1, seed=0, quantile_fallback=True)
     state = run_progressive_separation(s_feats, s_labels, 2, t_feats, cfg)
-    # fallback completes and yields a full prototype set even on degenerate
+    # fallback completes and yields all k_s + k centers even on degenerate
     # data (identical points may still all refine back to one cluster)
-    assert state.prototypes.unseen.shape == (1, 2)
+    assert state.centers.shape == (3, 2)
     assert state.pseudo_label.shape == (8,)
 
 
