@@ -248,16 +248,34 @@ def default_synth_spec(seed=7):
 # ---------------------------------------------------------------------------
 # feature / label / attribute files
 
-def save_features(matrix, path):
-    matrix = check_finite(matrix, "features")
+def _as_feature_payload(matrix, what="features"):
+    """The 2-D float32 payload of a feature file; DataError if a value is
+    non-finite or overflows float32."""
+    matrix = check_finite(matrix, what)
     if matrix.ndim != 2:
         raise ContractError("feature matrix must be 2-D")
-    n, d = matrix.shape
+    with np.errstate(over="ignore"):
+        payload = matrix.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise DataError(f"{what} overflow float32 (a magnitude above "
+                        f"{float(np.finfo(np.float32).max):.4g})")
+    return payload
+
+
+def _write_features(payload, path):
+    n, d = payload.shape
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<I", FEATURE_VERSION))
         fh.write(struct.pack("<QQ", n, d))
-        fh.write(matrix.astype("<f4").tobytes())
+        fh.write(payload.tobytes())
+
+
+def save_features(matrix, path):
+    """Write a binary ``SROS`` feature file. A value that is not finite, or
+    not finite once cast to float32, raises DataError before the file is
+    opened."""
+    _write_features(_as_feature_payload(matrix), path)
 
 
 def read_struct(fh, fmt, path, field):
@@ -366,11 +384,15 @@ EVAL_ATTRS = "target_eval_attributes.csv"
 
 
 def save_dataset(source: SourceDataset, target: TargetDataset, out_dir):
+    """Write the dataset directory; features that do not fit float32 raise
+    DataError before anything is created."""
+    source_payload = _as_feature_payload(source.features, "source features")
+    target_payload = _as_feature_payload(target.features, "target features")
     os.makedirs(out_dir, exist_ok=True)
-    save_features(source.features, os.path.join(out_dir, SOURCE_FEATURES))
+    _write_features(source_payload, os.path.join(out_dir, SOURCE_FEATURES))
     save_labels(source.labels, os.path.join(out_dir, SOURCE_LABELS))
     save_attribute_table(source.attr_table_seen, os.path.join(out_dir, SOURCE_ATTRS))
-    save_features(target.features, os.path.join(out_dir, TARGET_FEATURES))
+    _write_features(target_payload, os.path.join(out_dir, TARGET_FEATURES))
     if target.eval_data is not None:
         save_labels(target.eval_data.labels, os.path.join(out_dir, EVAL_LABELS))
         save_attribute_table(target.eval_data.attr_table_full,
@@ -452,14 +474,16 @@ def read_dataclass(path, cls):
 
     Each value is parsed by its field's type: ``int``, ``float``, or ``bool``
     written ``true``/``false``. Keys absent from the file take the field
-    defaults. Unknown keys, malformed values and missing required fields
-    raise ConfigError.
+    defaults. Unknown or repeated keys, malformed values and missing
+    required fields raise ConfigError.
     """
     types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in read_kv(path):
         if key not in types:
             raise ConfigError(f"{path}: unknown key {key!r}")
+        if key in kwargs:
+            raise ConfigError(f"{path}: key {key!r} is given more than once")
         try:
             kwargs[key] = _FIELD_PARSERS[types[key]](value)
         except ValueError:

@@ -9,8 +9,15 @@ Each network has one forward definition, ``tape_forward_*``: two fused
 ``autodiff.affine`` nodes, the first with ReLU. ``forward_*`` validate their
 input and run that forward on the raw arrays: constants, so no tape is kept.
 Weights initialize uniform(+-sqrt(6 / fan_in)), biases zero.
+
+``forward_gz(params, x, keep=True)`` keeps its embedding in a one-entry,
+one-shot slot, so that the next plain ``forward_gz`` over byte-equal rows with
+byte-equal G_Z weights returns it instead of running the pass again (a
+pseudo-label refresh followed by a report embeds the target once). The kept
+embedding is read-only, so ``forward_gz`` may return a read-only array.
 """
 
+import hashlib
 import math
 import os
 import struct
@@ -119,9 +126,47 @@ def _check_input(x, dim, what):
     return x
 
 
-def forward_gz(params: ModelParams, x):
+_GZ_LAYERS = tuple(name for name in LAYER_NAMES if name.startswith("gz_"))
+
+# (copy of the rows, G_Z digest, read-only z) of the last keep=True pass not
+# yet handed out, or None
+_kept = None
+
+
+def _gz_digest(arrays):
+    """sha256 of the G_Z arrays' dtypes, shapes and bytes, hashed from their
+    buffers (no copy of a contiguous array)."""
+    h = hashlib.sha256()
+    for name in _GZ_LAYERS:
+        arr = np.ascontiguousarray(arrays[name])
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr)
+    return h.digest()
+
+
+def forward_gz(params: ModelParams, x, keep=False):
+    """G_Z's embedding of the rows of ``x``.
+
+    With ``keep=True`` the slot is emptied, the pass runs and its read-only
+    result is kept (and returned) for the next plain call on the same rows
+    and weights, which returns it once. Without, a matching kept result is
+    returned in place of a pass; anything else runs the pass.
+    """
+    global _kept
     x = _check_input(x, params.d_x, "G_Z input")
-    return tape_forward_gz(params.arrays, x).value
+    if keep:
+        _kept = None  # the old entry is freed before the pass allocates
+    # the rows are compared first, so the weights are hashed only on a match
+    elif (_kept is not None
+          and np.array_equal(_kept[0].view(np.uint64), x.view(np.uint64))
+          and _kept[1] == _gz_digest(params.arrays)):
+        z, _kept = _kept[2], None
+        return z
+    z = tape_forward_gz(params.arrays, x).value
+    if keep:
+        z.flags.writeable = False
+        _kept = (x.copy(), _gz_digest(params.arrays), z)
+    return z
 
 
 def forward_ga(params: ModelParams, z):

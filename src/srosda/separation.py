@@ -35,10 +35,9 @@ def init_prototypes(features, labels, k_s):
     return seen
 
 
-def _cosine_dist_matrix(x, protos):
+def _cosine_dist_matrix(x, protos, xn):
     """Rows of x against rows of protos; near-zero-norm rows fall back to the
-    neutral distance 1.0."""
-    xn = np.linalg.norm(x, axis=1)
+    neutral distance 1.0. ``xn`` is ``np.linalg.norm(x, axis=1)``."""
     pn = np.linalg.norm(protos, axis=1)
     safe_x = np.where(xn < ZERO_NORM_EPS, 1.0, xn)
     safe_p = np.where(pn < ZERO_NORM_EPS, 1.0, pn)
@@ -48,11 +47,13 @@ def _cosine_dist_matrix(x, protos):
     return np.where(degenerate, 1.0, dist)
 
 
-def predict_all(x, protos):
+def predict_all(x, protos, x_norms=None):
     """Prototypical prediction for each row of x against the rows of protos.
 
     Returns (labels, confidences, probs); probs is softmax over negative
-    cosine distances, computed with max-subtraction.
+    cosine distances, computed with max-subtraction. ``x_norms``, if given,
+    is ``np.linalg.norm(x, axis=1)``, computed once by a caller that loops on
+    protos.
     """
     x = np.asarray(x, dtype=np.float64)
     protos = np.asarray(protos, dtype=np.float64)
@@ -60,7 +61,9 @@ def predict_all(x, protos):
         raise ContractError("predict_all requires at least one prototype")
     if x.shape[1] != protos.shape[1]:
         raise ContractError(f"dimension mismatch: {x.shape[1]} vs {protos.shape[1]}")
-    dist = _cosine_dist_matrix(x, protos)
+    if x_norms is None:
+        x_norms = np.linalg.norm(x, axis=1)
+    dist = _cosine_dist_matrix(x, protos, x_norms)
     shifted = -(dist - dist.min(axis=1, keepdims=True))
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
@@ -177,13 +180,14 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
     source_feats = check_finite(source_feats, "source features")
     target_feats = check_finite(target_feats, "target features")
     seen = init_prototypes(source_feats, source_labels, k_s)
+    target_norms = np.linalg.norm(target_feats, axis=1)
 
-    labels, conf, _ = predict_all(target_feats, seen)
+    labels, conf, _ = predict_all(target_feats, seen, target_norms)
     tau, seen_mask = split_seen_unseen(conf)
     for _ in range(cfg.separation_rounds):
         seen = update_prototypes_ema(seen, target_feats, labels, seen_mask,
                                      cfg.alpha)
-        labels, conf, _ = predict_all(target_feats, seen)
+        labels, conf, _ = predict_all(target_feats, seen, target_norms)
         tau, seen_mask = split_seen_unseen(conf)
 
     unseen_idx = np.flatnonzero(~seen_mask)
@@ -201,7 +205,7 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
     eta, _, _ = kmeans(target_feats[unseen_idx], cfg.k, init="kmeans++", rng=rng)
     centers, assignment, _ = kmeans(target_feats, k_s + cfg.k,
                                     init=np.vstack([seen, eta]))
-    _, conf, probs = predict_all(target_feats, centers)
+    _, conf, probs = predict_all(target_feats, centers, target_norms)
     conf = probs[np.arange(target_feats.shape[0]), assignment]
     return PseudoState(pseudo_label=assignment, confidence=conf, tau=tau,
                        seen_mask=assignment < k_s, centers=centers)

@@ -130,25 +130,30 @@ def sgd_step(params: ModelParams, grads, lr):
 
 @single_blas_thread()
 def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
-                   cfg: TrainConfig, space="z") -> Tuple[PseudoState, ZPrototypes, np.ndarray]:
+                   cfg: TrainConfig, space="z",
+                   keep=True) -> Tuple[PseudoState, ZPrototypes, np.ndarray]:
     """Re-run the separation procedure and derived state.
 
     ``space="x"`` separates on raw features (epoch-0 initialization);
     ``space="z"`` separates on current G_Z embeddings. Returns the pseudo
     state, the full-set z-prototypes and the per-target pseudo attributes
     (rows of the source attribute table for seen targets, zeros otherwise).
+    ``keep`` is passed to the target rows' ``forward_gz``, so that a
+    ``compute_report`` on the same rows and params that follows reuses their
+    embedding.
     """
     if space == "x":
         src_feats = source.features
         tgt_feats = np.asarray(target_features, dtype=np.float64)
     elif space == "z":
         src_feats = forward_gz(params, source.features)
-        tgt_feats = forward_gz(params, target_features)
+        tgt_feats = forward_gz(params, target_features, keep=keep)
     else:
         raise ConfigError(f"unknown separation space {space!r}")
     state = run_progressive_separation(src_feats, source.labels, source.k_s,
                                        tgt_feats, cfg)
-    z_t = tgt_feats if space == "z" else forward_gz(params, target_features)
+    z_t = (tgt_feats if space == "z"
+           else forward_gz(params, target_features, keep=keep))
     rz = compute_z_prototypes(z_t, state.pseudo_label, source.k_s + cfg.k)
     pseudo_attrs = np.zeros((tgt_feats.shape[0], source.d_a))
     seen = state.seen_mask
@@ -184,8 +189,9 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
     rng = make_rng(cfg.seed + 1)
     history = TrainHistory()
 
+    # no report follows a refresh inside training, so nothing is kept
     pseudo, rz, pseudo_attrs = refresh_pseudo(params, source, target_features,
-                                              cfg, space="x")
+                                              cfg, space="x", keep=False)
     history.refresh_epochs.append(0)
     src_attrs = source.sample_attributes()
 
@@ -195,7 +201,7 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
             if epoch > 0 and epoch % cfg.refresh_period == 0:
                 pseudo, rz, pseudo_attrs = refresh_pseudo(params, source,
                                                           target_features, cfg,
-                                                          space="z")
+                                                          space="z", keep=False)
                 history.refresh_epochs.append(epoch)
             sums = np.zeros(5)
             for s_idx, t_idx in make_batches(source.features.shape[0],

@@ -215,6 +215,28 @@ def test_synth_spec_missing_field_exit(tmp_path, capsys):
     assert "d_x" in capsys.readouterr().err
 
 
+def test_synth_float32_overflow_exit(tmp_path, capsys):
+    # the features are finite in float64 but not in the float32 file format
+    spec = tmp_path / "spec.txt"
+    write_spec(spec, cluster_spread=1e38)
+    assert cli_main(["--quiet", "synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "float32" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_train_repeated_config_key_exit(workspace, tmp_path, capsys):
+    root, data, _, _ = workspace
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text((root / "config.txt").read_text() + "epochs = 100\n")
+    assert cli_main(["--quiet", "train", "--config", str(cfg),
+                     "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'epochs'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_synth_negative_seed_exit(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     write_spec(spec)

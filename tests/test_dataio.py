@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srosda import dataio
+from srosda.cli import TrainMeta
 from srosda.dataio import (SourceDataset, SynthSpec, TargetEval,
                            default_synth_spec, load_attribute_table,
                            load_features, load_labels, load_source, load_target,
-                           read_kv, save_attribute_table, save_dataset,
+                           read_dataclass, read_kv, save_attribute_table, save_dataset,
                            save_features, save_labels, synth_generate, write_kv)
-from srosda.exceptions import (ContractError, DataError, FormatError,
-                               GenerationError)
+from srosda.exceptions import (ConfigError, ContractError, DataError,
+                               FormatError, GenerationError)
 from srosda.numkernel import make_rng
 
 
@@ -230,6 +231,27 @@ def test_feature_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_feature_float32_overflow_writes_nothing(tmp_path):
+    f32_max = float(np.finfo(np.float32).max)
+    path = tmp_path / "f.sros"
+    save_features(np.array([[f32_max, -f32_max]]), path)
+    assert np.array_equal(load_features(path), [[f32_max, -f32_max]])
+    for big in (1e39, -1e39, np.nextafter(f32_max, np.inf) * 1.001):
+        bad = tmp_path / "bad.sros"
+        with pytest.raises(DataError, match="float32"):
+            save_features(np.array([[0.0, big]]), bad)
+        assert not bad.exists()
+    # a dataset whose target features overflow leaves no directory behind
+    spec = SynthSpec(k_s=2, k=1, d_x=4, d_a=6, n_source_per_class=3,
+                     n_target_per_class=3, seed=6)
+    src, tgt = synth_generate(spec)
+    huge = dataio.TargetDataset(features=tgt.features * 1e38,
+                                eval_data=tgt.eval_data)
+    with pytest.raises(DataError, match="target features"):
+        save_dataset(src, huge, tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
 def test_feature_header_layout(tmp_path):
     path = tmp_path / "f.sros"
     save_features(np.zeros((2, 3)), path)
@@ -360,3 +382,16 @@ def test_kv_round_trip(tmp_path):
     path.write_text("no separator here\n")
     with pytest.raises(FormatError):
         read_kv(path)
+
+
+@pytest.mark.parametrize("cls, lines", [
+    (SynthSpec, "k_s = 3\nk = 2\nd_x = 8\nd_a = 8\nn_source_per_class = 4\n"
+                "n_target_per_class = 4\nd_x = 16\n"),
+    (TrainMeta, "tau = 0.5\nseed = 3\ntau = 0.25\n"),
+], ids=["spec", "train_meta"])
+def test_read_dataclass_rejects_repeated_key(tmp_path, cls, lines):
+    path = tmp_path / "kv.txt"
+    path.write_text(lines)
+    repeated = lines.splitlines()[-1].split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"'{repeated}' is given more than once"):
+        read_dataclass(path, cls)

@@ -122,6 +122,76 @@ def test_forward_gz_peak_memory(params):
     assert peak < 2 * hidden_bytes, f"peak {peak / hidden_bytes:.2f}x hidden"
 
 
+@pytest.fixture
+def empty_slot():
+    """Start and end the test with no kept G_Z embedding."""
+    model._kept = None
+    yield
+    model._kept = None
+
+
+def fresh_gz(params, x):
+    return tape_forward_gz(params.arrays, x).value
+
+
+def test_kept_gz_misses_after_weight_edit(params, empty_slot):
+    p = params.copy()
+    x = make_rng(7).normal(size=(9, D_X))
+    kept = forward_gz(p, x, keep=True)
+    p.arrays["gz_w2"][3, 5] += 0.25  # in place: same arrays, other bytes
+    z = forward_gz(p, x)
+    assert z is not kept
+    assert z.tobytes() == fresh_gz(p, x).tobytes()
+    assert z.tobytes() != kept.tobytes()
+
+
+def test_kept_gz_hits_byte_equal_rows_once(params, empty_slot):
+    x = make_rng(8).normal(size=(9, D_X))
+    kept = forward_gz(params, x, keep=True)
+    assert kept.tobytes() == fresh_gz(params, x).tobytes()
+    z = forward_gz(params, x.copy())
+    assert z is kept and not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0, 0] = 1.0
+    # one-shot: the hit emptied the slot, so the next call runs the pass
+    again = forward_gz(params, x)
+    assert again is not kept and again.flags.writeable
+    assert again.tobytes() == kept.tobytes()
+
+
+def test_kept_gz_other_rows_miss(params, empty_slot):
+    x = make_rng(9).normal(size=(9, D_X))
+    x[0, 0] = 0.0
+    kept = forward_gz(params, x, keep=True)
+    other = x.copy()
+    other[4, 2] = np.nextafter(other[4, 2], np.inf)
+    signed = x.copy()
+    signed[0, 0] = -0.0  # equal in value, not in bytes
+    for rows in (other, signed, x[:-1], x[::-1]):
+        z = forward_gz(params, rows)
+        assert z is not kept
+        assert z.tobytes() == fresh_gz(params, rows).tobytes()
+    # a miss leaves the slot as it was
+    assert forward_gz(params, x) is kept
+
+
+def test_kept_gz_freed_before_next_keep_pass(params, empty_slot):
+    # a keep=True call empties the slot before its pass, so two of them on
+    # different rows peak at one pass (hidden activation + z), not one pass
+    # plus the previous z (about 2x hidden)
+    rng = make_rng(10)
+    x1, x2 = rng.normal(size=(2, 2000, D_X))
+    hidden_bytes = 2000 * GZ_HIDDEN * 8
+    tracemalloc.start()
+    try:
+        forward_gz(params, x1, keep=True)
+        forward_gz(params, x2, keep=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * hidden_bytes, f"peak {peak / hidden_bytes:.2f}x hidden"
+
+
 def test_grad_check_accepts_true_gradient(params):
     rng = make_rng(5)
     direction = {n: rng.normal(size=params.arrays[n].shape)

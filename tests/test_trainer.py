@@ -9,9 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import srosda
+from srosda import model
 from srosda.dataio import (SynthSpec, TargetDataset, fields_to_kv,
                            synth_generate, write_kv)
-from srosda.evaluation import compute_report
+from srosda.evaluation import compute_report, save_report
 from srosda.exceptions import (ConfigError, DataError, ProtocolError,
                                SeparationError, TrainingError)
 from srosda.model import LAYER_NAMES, ModelParams, init_params
@@ -74,6 +75,13 @@ def test_config_round_trip(tmp_path):
         load_config(path)
     path.write_text("k = 2\nuse_ld = yes\n")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_repeated_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("k = 2\nepochs = 5\nlr = 0.01\nepochs = 100\n")
+    with pytest.raises(ConfigError, match="'epochs' is given more than once"):
         load_config(path)
 
 
@@ -267,6 +275,39 @@ def test_refresh_pseudo_spaces():
     assert state_z.pseudo_label.shape == state_x.pseudo_label.shape
     with pytest.raises(ConfigError):
         refresh_pseudo(params, src, tgt.features, cfg, space="y")
+
+
+def test_refresh_then_report_embeds_target_once(monkeypatch, tmp_path):
+    src, tgt = synth_generate(SPEC)
+    params = init_params(SPEC.d_x, SPEC.d_a, SPEC.k_s, seed=0)
+    n_t = tgt.features.shape[0]
+    assert n_t != src.features.shape[0]
+    model._kept = None
+    alone = tmp_path / "alone.txt"
+    save_report(compute_report(params, tgt, tau=0.5, epochs=0, seed=0), alone)
+
+    rows = []
+    plain = model.tape_forward_gz
+
+    def counted(pt, x):
+        rows.append(x.shape[0])
+        return plain(pt, x)
+
+    monkeypatch.setattr(model, "tape_forward_gz", counted)
+    refresh_pseudo(params, src, tgt.features, small_cfg(), space="z")
+    shared = tmp_path / "shared.txt"
+    save_report(compute_report(params, tgt, tau=0.5, epochs=0, seed=0), shared)
+    # the source and the target once: the report took the refresh's embedding
+    assert rows == [src.features.shape[0], n_t]
+    assert model._kept is None
+    assert shared.read_bytes() == alone.read_bytes()
+
+
+def test_train_keeps_no_embedding():
+    src, tgt = synth_generate(SPEC)
+    model._kept = None
+    train(small_cfg(epochs=3), src, tgt.features)
+    assert model._kept is None
 
 
 def test_train_smoke_and_history():
