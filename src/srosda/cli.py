@@ -75,8 +75,9 @@ def cmd_eval(args):
     target = dataio.load_target(args.data, with_eval=True)
     meta_path = args.meta or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
                                           META_FILE)
+    # an explicit --meta must exist; the checkpoint directory's may be absent
     meta = (dataio.read_dataclass(meta_path, TrainMeta)
-            if os.path.exists(meta_path) else TrainMeta())
+            if args.meta or os.path.exists(meta_path) else TrainMeta())
     if args.seed is not None:  # --seed wins over the meta file's seed
         meta = replace(meta, seed=args.seed)
     report = evaluation.compute_report(params, target, tau=meta.tau,

@@ -178,7 +178,11 @@ def save_report(report: MetricsReport, path):
 
 
 def load_report(path) -> MetricsReport:
-    values = dict(read_kv(path))
+    values = {}
+    for key, value in read_kv(path):
+        if key in values:
+            raise FormatError(f"{path}: report key {key!r} is given more than once")
+        values[key] = value
     try:
         rows = int(values["confusion.rows"])
         cols = int(values["confusion.cols"])

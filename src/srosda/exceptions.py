@@ -25,10 +25,6 @@ class GenerationError(SrosdaError):
     """Synthetic dataset generation could not satisfy its separation constraints."""
 
 
-class SeparationError(SrosdaError):
-    """Seen/unseen separation could not proceed (e.g. no unseen candidates)."""
-
-
 class PropagationError(SrosdaError):
     """Attribute propagation failed (singular propagation system)."""
 

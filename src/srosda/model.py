@@ -54,9 +54,6 @@ class ModelParams:
     def k_s(self):
         return self.arrays["c_w2"].shape[1] - 1
 
-    def copy(self):
-        return ModelParams({k: v.copy() for k, v in self.arrays.items()})
-
 
 def _layer_shapes(d_x, d_a, k_s):
     joint = Z_DIM + d_a

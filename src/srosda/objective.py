@@ -40,8 +40,6 @@ class BatchLossReport:
     l_r_source: float
     l_r_target: float
     l_a: float
-    lambda1: float
-    lambda2: float
     total: float
 
 
@@ -129,13 +127,7 @@ def loss_alignment_one_t(z, labels, rz: ZPrototypes):
                       stacklevel=2)
         return ad.Tensor(0.0)
     protos = rz.means[cols]
-    col_of = {int(c): i for i, c in enumerate(cols)}
-    labels = np.asarray(labels)
-    onehot = np.zeros((n, cols.size))
-    for i, lab in enumerate(labels):
-        j = col_of.get(int(lab))
-        if j is not None:
-            onehot[i, j] = 1.0
+    onehot = (np.asarray(labels)[:, None] == cols[None, :]).astype(np.float64)
     denom = np.maximum(cols.size - onehot.sum(axis=1), 1.0)[:, None]
     push_w = (1.0 - onehot) / denom
     dists = _dists_to_protos_t(z, protos)
@@ -165,7 +157,6 @@ def total_objective(l_c, l_d, l_r_source, l_r_target, l_a, lambda1, lambda2):
     report = BatchLossReport(l_c=float(l_c), l_d=float(l_d),
                              l_r_source=float(l_r_source),
                              l_r_target=float(l_r_target), l_a=float(l_a),
-                             lambda1=lambda1, lambda2=lambda2,
                              total=float(total))
     return total, report
 

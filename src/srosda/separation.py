@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractError, DataError, SeparationError
+from .exceptions import ContractError, DataError
 from .numkernel import (ZERO_NORM_EPS, check_finite, class_means, make_rng,
                         sq_dist, sq_norms)
 
@@ -25,6 +25,8 @@ class PseudoState:
     tau: float
     seen_mask: np.ndarray     # N_t bools, True iff pseudo_label < k_s
     centers: np.ndarray       # (k_s + k) x d, the seen rows first
+    used_fallback: bool       # True iff the quantile fallback chose the
+                              # unseen candidates (fewer than k were unseen)
 
 
 def init_prototypes(features, labels, k_s):
@@ -94,8 +96,14 @@ def update_prototypes_ema(seen, target_feats, labels, seen_mask, alpha):
     return new_seen
 
 
-def _kmeans_pp_init(points, k, rng):
+def kmeans_pp_init(points, k, rng):
+    """k-means++ seeding: k rows of ``points`` drawn by ``rng``, each after
+    the first with probability proportional to its squared distance from the
+    nearest center drawn so far. Requires 1 <= k <= n."""
     n = points.shape[0]
+    if not 1 <= k <= n:
+        raise ContractError(f"kmeans++ init needs k >= 1 and k <= n, got "
+                            f"k={k}, n={n}")
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
@@ -111,33 +119,26 @@ def _kmeans_pp_init(points, k, rng):
     return centers
 
 
-def kmeans(points, k, init="kmeans++", rng=None):
-    """Lloyd iterations with Euclidean distance.
+def kmeans(points, centers):
+    """Lloyd iterations with Euclidean distance from the (k, d) ``centers``.
 
-    ``init`` is either the string "kmeans++" (seeded via ``rng``) or an
-    explicit (k, d) center array. Each pass takes the squared distances to
-    the centers from ``sq_dist`` (one points x centers gemm; the point norms
-    are computed once per call), clamped at 0. Assignment ties break to the
-    lowest center index; an emptied cluster is reseeded to the point farthest
-    from its assigned center. Inertia is asserted non-increasing across
-    iterations.
+    Each pass takes the squared distances to the centers from ``sq_dist``
+    (one points x centers gemm; the point norms are computed once per call),
+    clamped at 0. Assignment ties break to the lowest center index; an
+    emptied cluster is reseeded to the point farthest from its assigned
+    center. Inertia is asserted non-increasing across iterations.
 
     Returns (centers, assignment, inertia).
     """
     points = np.asarray(points, dtype=np.float64)
+    centers = np.array(centers, dtype=np.float64)
     n = points.shape[0]
-    if k < 1:
-        raise ContractError("kmeans requires k >= 1")
-    if isinstance(init, str):
-        if init != "kmeans++":
-            raise ContractError(f"unknown init {init!r}")
-        if k > n:
-            raise ContractError(f"kmeans++ init needs k <= n, got k={k}, n={n}")
-        centers = _kmeans_pp_init(points, k, rng if rng is not None else make_rng(0))
-    else:
-        centers = np.array(init, dtype=np.float64)
-        if centers.shape != (k, points.shape[1]):
-            raise ContractError("explicit centers must have shape (k, d)")
+    if centers.ndim != 2 or centers.shape[0] < 1:
+        raise ContractError("kmeans requires k >= 1 centers in a 2-d array")
+    if centers.shape[1] != points.shape[1]:
+        raise ContractError(f"centers have width {centers.shape[1]}, "
+                            f"points {points.shape[1]}")
+    k = centers.shape[0]
 
     points_sq = sq_norms(points)
     prev_inertia = shift = np.inf
@@ -167,8 +168,8 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
        EMA update (rate ``cfg.alpha``);
     3. K-means over the unseen candidates gives the ``cfg.k`` unseen
        prototypes (k-means++ seeded by ``cfg.seed``); with fewer than k
-       candidates, ``cfg.quantile_fallback`` takes the least confident
-       samples instead, or SeparationError is raised;
+       candidates, the quantile fallback takes the least confident samples
+       instead, and the state records ``used_fallback``;
     4. K-means over all target samples initialized at the seen prototypes
        stacked over the unseen ones refines the pseudo labels (each cluster
        keeps the identity of its initializing prototype);
@@ -191,24 +192,22 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
         tau, seen_mask = split_seen_unseen(conf)
 
     unseen_idx = np.flatnonzero(~seen_mask)
-    if unseen_idx.size < cfg.k:
-        if not cfg.quantile_fallback:
-            raise SeparationError(
-                "no unseen candidates (or fewer than k); enable the quantile "
-                "fallback or check the data")
+    used_fallback = bool(unseen_idx.size < cfg.k)
+    if used_fallback:
         n_fallback = max(cfg.k, int(np.ceil(target_feats.shape[0] / (k_s + cfg.k))))
         unseen_idx = np.argsort(conf, kind="stable")[:n_fallback]
         seen_mask = np.ones(target_feats.shape[0], dtype=bool)
         seen_mask[unseen_idx] = False
 
-    rng = make_rng(cfg.seed)
-    eta, _, _ = kmeans(target_feats[unseen_idx], cfg.k, init="kmeans++", rng=rng)
-    centers, assignment, _ = kmeans(target_feats, k_s + cfg.k,
-                                    init=np.vstack([seen, eta]))
+    candidates = target_feats[unseen_idx]
+    eta, _, _ = kmeans(candidates,
+                       kmeans_pp_init(candidates, cfg.k, make_rng(cfg.seed)))
+    centers, assignment, _ = kmeans(target_feats, np.vstack([seen, eta]))
     _, conf, probs = predict_all(target_feats, centers, target_norms)
     conf = probs[np.arange(target_feats.shape[0]), assignment]
     return PseudoState(pseudo_label=assignment, confidence=conf, tau=tau,
-                       seen_mask=assignment < k_s, centers=centers)
+                       seen_mask=assignment < k_s, centers=centers,
+                       used_fallback=used_fallback)
 
 
 def dump_pseudo_state(state: PseudoState, path):

@@ -53,7 +53,6 @@ class TrainConfig:
     use_ld: bool = True
     use_prop: bool = True
     use_fusion: bool = True
-    quantile_fallback: bool = True
 
     def validate(self, n_target=None):
         """Raise ConfigError unless every field is in range. ``n_target``,
@@ -171,21 +170,19 @@ def _params_checksum(params: ModelParams):
 
 @single_blas_thread()
 def train(cfg: TrainConfig, source: SourceDataset, target_features,
-          init: ModelParams = None, on_epoch=None):
-    """Minimize the full objective; returns (params, history, pseudo_state).
+          on_epoch=None):
+    """Minimize the full objective from ``init_params(..., seed=cfg.seed)``;
+    returns (params, history, pseudo_state).
 
-    ``on_epoch(epoch, report)`` is an optional progress callback. The inputs
-    are checked for finiteness on entry, so a non-finite value met later
-    means the optimization diverged: that, and final parameters that are
-    not finite, raise TrainingError.
+    ``on_epoch(epoch, report)`` is an optional progress callback. The target
+    features are checked for finiteness on entry, so a non-finite value met
+    later means the optimization diverged: that, and final parameters that
+    are not finite, raise TrainingError.
     """
     target_features = check_finite(target_features, "target features")
     cfg.validate(n_target=target_features.shape[0])
-    if init is not None:
-        for name, arr in init.arrays.items():
-            check_finite(arr, f"initial {name}")
-    params = init.copy() if init is not None else init_params(
-        source.features.shape[1], source.d_a, source.k_s, seed=cfg.seed)
+    params = init_params(source.features.shape[1], source.d_a, source.k_s,
+                         seed=cfg.seed)
     rng = make_rng(cfg.seed + 1)
     history = TrainHistory()
 

@@ -5,8 +5,9 @@ replays them after the run so they are visible regardless of capture mode.
 The ``two_blas_threads`` fixture sets the process's BLAS thread count to 2.
 ``propagation_oracle`` is the reference for attribute propagation,
 ``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small``,
-``affine_oracle`` the bitwise reference for ``autodiff.affine`` and
-``grad_check`` the finite-difference check of analytic gradients.
+``affine_oracle`` the bitwise reference for ``autodiff.affine``,
+``copy_params`` a deep copy of a ``ModelParams`` and ``grad_check`` the
+finite-difference check of analytic gradients.
 """
 
 from typing import Callable
@@ -84,6 +85,11 @@ def affine_oracle(x, w, b, relu=False):
     return h * (h.value > 0.0) if relu else h
 
 
+def copy_params(params: ModelParams) -> ModelParams:
+    """A ``ModelParams`` whose arrays are copies of ``params``'s."""
+    return ModelParams({k: v.copy() for k, v in params.arrays.items()})
+
+
 def grad_check(loss_evaluator: Callable, params: ModelParams, eps=1e-5,
                n_coords=200, seed=0):
     """Compare analytic parameter gradients to central finite differences.
@@ -102,7 +108,7 @@ def grad_check(loss_evaluator: Callable, params: ModelParams, eps=1e-5,
         arr = params.arrays[name]
         flat = rng.integers(arr.size)
         idx = np.unravel_index(flat, arr.shape)
-        probe = params.copy()
+        probe = copy_params(params)
         probe.arrays[name][idx] += eps
         up, _ = loss_evaluator(probe)
         probe.arrays[name][idx] -= 2.0 * eps

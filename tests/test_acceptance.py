@@ -24,7 +24,8 @@ from srosda.numkernel import make_rng, single_blas_thread
 from srosda.objective import (TrainBatch, batch_objective, build_adjacency_t,
                               compute_z_prototypes, objective_grads,
                               propagation_matrix_t)
-from srosda.separation import kmeans, run_progressive_separation
+from srosda.separation import (kmeans, kmeans_pp_init,
+                               run_progressive_separation)
 from srosda.trainer import TrainConfig, train
 from srosda import dataio
 
@@ -227,13 +228,13 @@ def test_criterion_4_kmeans_oracle():
         n = int(rng.integers(3, 9))
         points = rng.normal(size=(n, 2))
         opt_inertia, opt_assign = _exhaustive_best(points, 2)
-        _, _, lloyd = kmeans(points, 2, init="kmeans++",
-                             rng=make_rng(int(rng.integers(1 << 30))))
+        seeds = kmeans_pp_init(points, 2, make_rng(int(rng.integers(1 << 30))))
+        _, _, lloyd = kmeans(points, seeds)
         ok = ok and lloyd >= opt_inertia - KMEANS_TOL
         if len(set(opt_assign.tolist())) == 2:
             centers = np.stack([points[opt_assign == c].mean(axis=0)
                                 for c in range(2)])
-            _, _, from_opt = kmeans(points, 2, init=centers)
+            _, _, from_opt = kmeans(points, centers)
             worst_gap = max(worst_gap, abs(from_opt - opt_inertia))
             ok = ok and abs(from_opt - opt_inertia) <= KMEANS_TOL
     elapsed = time.time() - start
@@ -268,8 +269,7 @@ def _train_and_report(pilot_data, **overrides):
 def test_criterion_5_separation_quality(pilot_data):
     start = time.time()
     src, tgt = pilot_data
-    cfg = TrainConfig(k=K, alpha=0.001, separation_rounds=5, seed=PILOT_SEED,
-                      quantile_fallback=False)
+    cfg = TrainConfig(k=K, alpha=0.001, separation_rounds=5, seed=PILOT_SEED)
     state = run_progressive_separation(src.features, src.labels, K_S,
                                        tgt.features, cfg)
     labels = tgt.eval_data.labels
@@ -285,12 +285,15 @@ def test_criterion_5_separation_quality(pilot_data):
             total += int(members.size)
     purity = majority / total if total else 0.0
     elapsed = time.time() - start
-    ok = seen_acc >= SEEN_ACC_MIN and purity >= PURITY_MIN and elapsed < 30.0
+    ok = (not state.used_fallback and seen_acc >= SEEN_ACC_MIN
+          and purity >= PURITY_MIN and elapsed < 30.0)
     verdict(5, ok, f"seen pseudo-label acc {seen_acc:.3f} (min {SEEN_ACC_MIN}),"
                    f" unseen purity {purity:.3f} (min {PURITY_MIN}), "
+                   f"fallback {'fired' if state.used_fallback else 'unused'}, "
                    f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_training(pilot_data):
     start = time.time()
     full = _train_and_report(pilot_data)
@@ -314,6 +317,7 @@ def test_criterion_6_end_to_end_training(pilot_data):
     verdict(6, ok, detail)
 
 
+@pytest.mark.slow
 def test_criterion_7_determinism(pilot_data):
     first = _train_and_report(pilot_data)
     src, tgt = pilot_data

@@ -188,6 +188,32 @@ def test_eval_malformed_meta_exit(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "epochs" in err
 
 
+def test_eval_missing_explicit_meta_exit(workspace, tmp_path, capsys):
+    # only the implicit meta file, in the checkpoint's directory, may be absent
+    _, data, out, _ = workspace
+    report_path = tmp_path / "r.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(report_path),
+                     "--meta", str(out / "NO_SUCH_FILE.txt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NO_SUCH_FILE.txt" in err
+    assert not report_path.exists()
+
+
+def test_eval_without_meta_file_uses_defaults(workspace, tmp_path):
+    _, data, out, _ = workspace
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(out / "checkpoint.bin", run / "checkpoint.bin")
+    report_path = tmp_path / "r.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(run / "checkpoint.bin"), "--data", str(data),
+                     "--out", str(report_path)]) == 0
+    report = evaluation.load_report(report_path)
+    assert np.isnan(report.tau) and report.epochs == 0 and report.seed == 0
+
+
 def test_synth_infeasible_spec_exit(tmp_path, capsys):
     spec = tmp_path / "spec.txt"
     write_spec(spec, d_a=1, min_attr_hamming=1, unseen_flip_bits=1)

@@ -220,6 +220,16 @@ def test_report_scalar_keys_lead_in_order(tmp_path, fixture):
     assert keys[9:11] == ["confusion.rows", "confusion.cols"]
 
 
+def test_load_report_rejects_repeated_key(tmp_path, fixture):
+    params, tgt = fixture
+    path = tmp_path / "report.txt"
+    save_report(compute_report(params, tgt, tau=0.3, epochs=5, seed=1), path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("os = 0.99\n")
+    with pytest.raises(FormatError, match="'os' is given more than once"):
+        load_report(path)
+
+
 def test_report_errors(tmp_path):
     rep = MetricsReport(os=0.0, os_star=0.0, os_diamond=0.0, s=0.0, u=0.0,
                         h=0.0, confusion=np.zeros((0, 0), dtype=np.int64),

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import grad_check
+from conftest import copy_params, grad_check
 from srosda import autodiff as ad
 from srosda import model
 from srosda.exceptions import ContractError, FormatError
@@ -135,7 +135,7 @@ def fresh_gz(params, x):
 
 
 def test_kept_gz_misses_after_weight_edit(params, empty_slot):
-    p = params.copy()
+    p = copy_params(params)
     x = make_rng(7).normal(size=(9, D_X))
     kept = forward_gz(p, x, keep=True)
     p.arrays["gz_w2"][3, 5] += 0.25  # in place: same arrays, other bytes

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from srosda.exceptions import ContractError, DataError, SeparationError
+from srosda.exceptions import ContractError, DataError
 from srosda.numkernel import class_means, make_rng, sq_dist, sq_norms
-from srosda.separation import (KMEANS_MAX_ITER, KMEANS_TOL, _kmeans_pp_init,
-                               init_prototypes, kmeans, predict_all,
+from srosda.separation import (KMEANS_MAX_ITER, KMEANS_TOL, init_prototypes,
+                               kmeans, kmeans_pp_init, predict_all,
                                run_progressive_separation, split_seen_unseen,
                                update_prototypes_ema)
 from srosda.trainer import TrainConfig
@@ -115,8 +115,8 @@ def brute_force_best_partition(points, k):
 
 def test_kmeans_explicit_init_two_clusters():
     points = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-    centers, assign, inertia = kmeans(points, 2,
-                                      init=np.array([[0.0, 0.0], [10.0, 0.0]]))
+    centers, assign, inertia = kmeans(points,
+                                      np.array([[0.0, 0.0], [10.0, 0.0]]))
     assert np.array_equal(assign, [0, 0, 1, 1])
     assert np.allclose(centers, [[0.0, 0.5], [10.0, 0.5]], atol=1e-12)
     assert inertia == pytest.approx(1.0, abs=1e-12)
@@ -129,7 +129,7 @@ def test_kmeans_matches_exhaustive_oracle():
         opt_inertia, opt_assign = brute_force_best_partition(points, 2)
         centers = np.stack([points[opt_assign == c].mean(axis=0)
                             for c in range(2)])
-        _, _, inertia = kmeans(points, 2, init=centers)
+        _, _, inertia = kmeans(points, centers)
         assert inertia <= opt_inertia + 1e-9
         assert inertia >= opt_inertia - 1e-9  # optimum is a fixed point
 
@@ -137,15 +137,14 @@ def test_kmeans_matches_exhaustive_oracle():
 def test_kmeans_empty_cluster_reseeded():
     points = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0]])
     # second center so remote that it owns nothing initially
-    centers, assign, _ = kmeans(points, 2,
-                                init=np.array([[0.0, 0.0], [-1e6, 0.0]]))
+    centers, assign, _ = kmeans(points, np.array([[0.0, 0.0], [-1e6, 0.0]]))
     assert len(set(assign.tolist())) == 2  # both clusters end up used
 
 
 def test_kmeans_pp_seeded_deterministic():
     points = make_rng(1).normal(size=(30, 3))
-    a = kmeans(points, 3, init="kmeans++", rng=make_rng(5))
-    b = kmeans(points, 3, init="kmeans++", rng=make_rng(5))
+    a = kmeans(points, kmeans_pp_init(points, 3, make_rng(5)))
+    b = kmeans(points, kmeans_pp_init(points, 3, make_rng(5)))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -179,11 +178,10 @@ def test_kmeans_matches_broadcast_lloyd_bitwise(k, seed):
     points = blobs[rng.integers(k, size=60)] + rng.normal(size=(60, 6))
     points = np.vstack([points, points[rng.integers(60, size=15)]])  # duplicates
     explicit = points[rng.choice(points.shape[0], k, replace=False)]
-    runs = [(kmeans(points, k, init=explicit),
-             broadcast_lloyd(points, explicit)),
-            (kmeans(points, k, init="kmeans++", rng=make_rng(seed)),
-             broadcast_lloyd(points, _kmeans_pp_init(points, k, make_rng(seed))))]
-    for (centers, assign, inertia), (want_centers, want_assign, want_inertia) in runs:
+    seeded = kmeans_pp_init(points, k, make_rng(seed))
+    for start in (explicit, seeded):
+        centers, assign, inertia = kmeans(points, start)
+        want_centers, want_assign, want_inertia = broadcast_lloyd(points, start)
         assert np.array_equal(assign, want_assign)
         assert np.array_equal(centers, want_centers)
         assert inertia == pytest.approx(want_inertia, rel=1e-12)
@@ -193,7 +191,7 @@ def test_kmeans_every_point_a_center_clamps_at_zero():
     points = 100.0 + 10.0 * make_rng(7).normal(size=(20, 7))
     # the unclamped expansion leaves negative self-distances on this cloud
     assert (np.diag(sq_dist(points, points, sq_norms(points))) < 0.0).any()
-    centers, assign, inertia = kmeans(points, points.shape[0], init=points)
+    centers, assign, inertia = kmeans(points, points)
     assert np.array_equal(assign, np.arange(points.shape[0]))
     assert np.array_equal(centers, points)
     assert 0.0 <= inertia <= 1e-9
@@ -201,14 +199,14 @@ def test_kmeans_every_point_a_center_clamps_at_zero():
 
 def test_kmeans_contracts():
     points = np.zeros((3, 2))
-    with pytest.raises(ContractError):
-        kmeans(points, 0)
-    with pytest.raises(ContractError):
-        kmeans(points, 4, init="kmeans++", rng=make_rng(0))
-    with pytest.raises(ContractError):
-        kmeans(points, 2, init=np.zeros((3, 2)))
-    with pytest.raises(ContractError):
-        kmeans(points, 2, init="median")
+    with pytest.raises(ContractError, match="k >= 1"):
+        kmeans(points, np.zeros((0, 2)))  # zero centers
+    with pytest.raises(ContractError, match="width 3"):
+        kmeans(points, np.zeros((2, 3)))  # width mismatch
+    with pytest.raises(ContractError, match="k <= n"):
+        kmeans_pp_init(points, 4, make_rng(0))
+    with pytest.raises(ContractError, match="k >= 1"):
+        kmeans_pp_init(points, 0, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +226,9 @@ def two_domain_fixture(seed=0, n=40):
 
 def test_progressive_separation_recovers_structure():
     s_feats, s_labels, t_feats, t_labels = two_domain_fixture()
-    cfg = TrainConfig(k=2, separation_rounds=5, seed=0, quantile_fallback=False)
+    cfg = TrainConfig(k=2, separation_rounds=5, seed=0)
     state = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
+    assert not state.used_fallback
     seen_true = t_labels < 3
     # seen samples keep their class
     assert np.mean(state.pseudo_label[seen_true] == t_labels[seen_true]) > 0.95
@@ -249,7 +248,7 @@ def test_progressive_separation_recovers_structure():
 
 def test_progressive_separation_deterministic():
     s_feats, s_labels, t_feats, _ = two_domain_fixture()
-    cfg = TrainConfig(k=2, separation_rounds=3, seed=7, quantile_fallback=False)
+    cfg = TrainConfig(k=2, separation_rounds=3, seed=7)
     a = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
     b = run_progressive_separation(s_feats, s_labels, 3, t_feats, cfg)
     assert np.array_equal(a.pseudo_label, b.pseudo_label)
@@ -270,11 +269,9 @@ def test_progressive_separation_no_candidates():
     s_feats = np.array([[5.0, 0.0], [5.2, 0.0], [0.0, 5.0], [0.0, 5.1]])
     s_labels = np.array([0, 0, 1, 1])
     t_feats = np.tile([5.1, 0.0], (8, 1))
-    cfg = TrainConfig(k=1, separation_rounds=1, seed=0, quantile_fallback=False)
-    with pytest.raises(SeparationError):
-        run_progressive_separation(s_feats, s_labels, 2, t_feats, cfg)
-    cfg = TrainConfig(k=1, separation_rounds=1, seed=0, quantile_fallback=True)
+    cfg = TrainConfig(k=1, separation_rounds=1, seed=0)
     state = run_progressive_separation(s_feats, s_labels, 2, t_feats, cfg)
+    assert state.used_fallback
     # fallback completes and yields all k_s + k centers even on degenerate
     # data (identical points may still all refine back to one cluster)
     assert state.centers.shape == (3, 2)
@@ -289,4 +286,4 @@ def test_progressive_separation_rejects_non_finite(domain):
     with pytest.raises(DataError, match=f"{domain} features"):
         run_progressive_separation(feats["source"], s_labels, 3,
                                    feats["target"],
-                                   TrainConfig(k=2, quantile_fallback=False))
+                                   TrainConfig(k=2))
