@@ -14,7 +14,7 @@ import numpy as np
 from . import dataio, evaluation, trainer
 from .dataio import SynthSpec
 from .exceptions import SrosdaError
-from .model import load_checkpoint
+from .model import load_checkpoint, save_checkpoint
 from .separation import dump_pseudo_state
 
 CHECKPOINT_FILE = "checkpoint.bin"
@@ -59,10 +59,10 @@ def cmd_train(args):
 
     params, history, pseudo = trainer.train(cfg, source, target.features,
                                             on_epoch=progress)
-    trainer.save_checkpoint_atomic(params, os.path.join(args.out, CHECKPOINT_FILE))
+    save_checkpoint(params, os.path.join(args.out, CHECKPOINT_FILE))
     trainer.save_history(history, os.path.join(args.out, HISTORY_FILE))
     dump_pseudo_state(pseudo, os.path.join(args.out, PSEUDO_FILE))
-    meta = TrainMeta(tau=history.final_tau, epochs=cfg.epochs, seed=cfg.seed,
+    meta = TrainMeta(tau=pseudo.tau, epochs=cfg.epochs, seed=cfg.seed,
                      use_fusion=cfg.use_fusion)
     dataio.write_kv(dataio.fields_to_kv(meta), os.path.join(args.out, META_FILE))
     if not args.quiet:

@@ -43,6 +43,8 @@ class SourceDataset:
 
     def __post_init__(self):
         check_finite(self.features, "source features")
+        if self.labels.shape[0] != self.features.shape[0]:
+            raise DataError("source labels / features length mismatch")
         _check_annotations(self.labels, self.attr_table_seen, "source", "k_s")
 
     @property
@@ -76,6 +78,9 @@ class TargetDataset:
 
     def __post_init__(self):
         check_finite(self.features, "target features")
+        if (self.eval_data is not None
+                and self.eval_data.labels.shape[0] != self.features.shape[0]):
+            raise DataError("target eval labels / features length mismatch")
 
 
 @dataclass(frozen=True)
@@ -403,8 +408,6 @@ def load_source(data_dir):
     feats = load_features(os.path.join(data_dir, SOURCE_FEATURES))
     labels = load_labels(os.path.join(data_dir, SOURCE_LABELS))
     table = load_attribute_table(os.path.join(data_dir, SOURCE_ATTRS))
-    if labels.shape[0] != feats.shape[0]:
-        raise FormatError("source labels / features length mismatch")
     return SourceDataset(features=feats, labels=labels, attr_table_seen=table)
 
 
@@ -414,8 +417,6 @@ def load_target(data_dir, with_eval=False):
     if with_eval:
         labels = load_labels(os.path.join(data_dir, EVAL_LABELS))
         table = load_attribute_table(os.path.join(data_dir, EVAL_ATTRS))
-        if labels.shape[0] != feats.shape[0]:
-            raise FormatError("target eval labels / features length mismatch")
         eval_data = TargetEval(labels=labels, attr_table_full=table)
     return TargetDataset(features=feats, eval_data=eval_data)
 

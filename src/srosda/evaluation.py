@@ -51,17 +51,27 @@ def joint_features(params: ModelParams, features, use_fusion=True):
     return np.hstack([z, tail]), a_hat
 
 
+def _eval_annotations(params: ModelParams, target: TargetDataset):
+    """(labels, full attribute table) of ``target``'s eval data; ProtocolError
+    without it, or if the table lacks an unseen class beyond the k_s seen."""
+    if target.eval_data is None:
+        raise ProtocolError("evaluation requires target eval labels")
+    table = target.eval_data.attr_table_full
+    if table.shape[0] <= params.k_s:
+        raise ProtocolError(f"the eval attribute table has {table.shape[0]} "
+                            f"classes, not more than the model's {params.k_s}")
+    return target.eval_data.labels, table
+
+
 def eval_openset(params: ModelParams, target: TargetDataset, f):
     """C's argmax over the joint features ``f`` (see ``joint_features``);
     class k_s is 'unknown'. Returns (os, os_star, os_diamond, confusion)
     where the confusion matrix resolves all k_t true classes against k_s+1
     predictions.
     """
-    if target.eval_data is None:
-        raise ProtocolError("open-set evaluation requires target eval labels")
-    labels = target.eval_data.labels
+    labels, table = _eval_annotations(params, target)
     k_s = params.k_s
-    k_t = target.eval_data.attr_table_full.shape[0]
+    k_t = table.shape[0]
     pred = np.argmax(forward_c(params, f), axis=1)
 
     confusion = np.zeros((k_t, k_s + 1), dtype=np.int64)
@@ -85,14 +95,10 @@ def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
     the seen or unseen attribute rows, then the raw attribute prediction
     ``a_hat`` is classified prototypically (cosine) against the routed rows.
     Returns (s, u, h)."""
-    if target.eval_data is None:
-        raise ProtocolError("semantic evaluation requires target eval labels")
-    labels = target.eval_data.labels
-    table = target.eval_data.attr_table_full.astype(np.float64)
+    labels, table = _eval_annotations(params, target)
+    table = table.astype(np.float64)
     k_s = params.k_s
     k_t = table.shape[0]
-    if k_t <= k_s:
-        raise ProtocolError("full attribute table must cover unseen classes")
     d_probs = forward_d(params, f)
     says_unseen = np.argmax(d_probs, axis=1) == 1
 

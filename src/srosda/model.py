@@ -21,6 +21,7 @@ import hashlib
 import math
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 from typing import Dict
 
@@ -188,16 +189,24 @@ def forward_d(params: ModelParams, f):
 # checkpoints
 
 def save_checkpoint(params: ModelParams, path):
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(LAYER_NAMES)))
-        for name in LAYER_NAMES:
-            arr = params.arrays[name]
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.astype("<f8").tobytes())
+    """Write-temp-then-rename, so a failed write never leaves a torn file."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(LAYER_NAMES)))
+            for name in LAYER_NAMES:
+                arr = params.arrays[name]
+                fh.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(arr.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_checkpoint(path):
@@ -228,6 +237,8 @@ def load_checkpoint(path):
                 raise FormatError(f"{path}: truncated layer {name}")
             raw = fh.read(n_bytes)
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            if not np.all(np.isfinite(arrays[name])):
+                raise FormatError(f"{path}: layer {name} has non-finite values")
         if fh.tell() != size:
             raise FormatError(f"{path}: {size - fh.tell()} trailing bytes after "
                               f"the last layer")

@@ -1,5 +1,5 @@
 """End-to-end training orchestration: batching, plain SGD, periodic
-pseudo-label refresh, history logging and checkpointing.
+pseudo-label refresh and history logging.
 
 The refresh at epoch 0 runs the separation procedure on raw x-features; later
 refreshes (every ``refresh_period`` epochs) run it on the current z-features.
@@ -13,8 +13,6 @@ depend on the BLAS thread count.
 """
 
 import hashlib
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -22,7 +20,7 @@ import numpy as np
 
 from .dataio import SourceDataset, read_dataclass
 from .exceptions import ConfigError, DataError, TrainingError
-from .model import ModelParams, forward_gz, init_params, save_checkpoint
+from .model import ModelParams, forward_gz, init_params
 from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, check_finite,
                         make_rng, single_blas_thread)
 from .objective import (BatchLossReport, TrainBatch, ZPrototypes,
@@ -90,17 +88,14 @@ def load_config(path) -> TrainConfig:
 @dataclass
 class TrainHistory:
     epochs: List[BatchLossReport] = field(default_factory=list)
-    refresh_epochs: List[int] = field(default_factory=list)
-    final_tau: float = float("nan")
     params_checksum: str = ""
 
 
 def make_batches(n_source, n_target, batch_size, rng):
     """Seeded shuffled index batches: paired (source, target) half-batches
     while both streams last, then single-domain batches for the leftover of
-    the longer stream. Each domain is covered exactly once per epoch."""
-    if batch_size < 2:
-        raise ConfigError("batch_size must be >= 2")
+    the longer stream. Each domain is covered exactly once per epoch.
+    ``batch_size`` is one that ``TrainConfig.validate`` accepts."""
     half_s = (batch_size + 1) // 2
     half_t = batch_size // 2
     s_order = rng.permutation(n_source)
@@ -189,7 +184,6 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
     # no report follows a refresh inside training, so nothing is kept
     pseudo, rz, pseudo_attrs = refresh_pseudo(params, source, target_features,
                                               cfg, space="x", keep=False)
-    history.refresh_epochs.append(0)
     src_attrs = source.sample_attributes()
 
     for epoch in range(cfg.epochs):
@@ -199,7 +193,6 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
                 pseudo, rz, pseudo_attrs = refresh_pseudo(params, source,
                                                           target_features, cfg,
                                                           space="z", keep=False)
-                history.refresh_epochs.append(epoch)
             sums = np.zeros(5)
             for s_idx, t_idx in make_batches(source.features.shape[0],
                                              target_features.shape[0],
@@ -231,7 +224,6 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
     for name, arr in params.arrays.items():
         if not np.all(np.isfinite(arr)):
             raise TrainingError(f"training diverged: final {name} is not finite")
-    history.final_tau = pseudo.tau
     history.params_checksum = _params_checksum(params)
     return params, history, pseudo
 
@@ -243,16 +235,3 @@ def save_history(history: TrainHistory, path):
         for i, r in enumerate(history.epochs):
             cols = (r.l_c, r.l_d, r.l_r_source, r.l_r_target, r.l_a, r.total)
             fh.write(f"{i}," + ",".join(repr(float(c)) for c in cols) + "\n")
-
-
-def save_checkpoint_atomic(params: ModelParams, path):
-    """Write-temp-then-rename so a crash never leaves a torn checkpoint."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(fd)
-    try:
-        save_checkpoint(params, tmp)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)

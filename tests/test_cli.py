@@ -5,7 +5,7 @@ import pytest
 
 from srosda import dataio, evaluation
 from srosda.cli import cli_main
-from srosda.model import load_checkpoint
+from srosda.model import load_checkpoint, save_checkpoint
 
 
 def write_spec(path, **overrides):
@@ -295,3 +295,35 @@ def test_eval_label_out_of_range_exit(workspace, tmp_path, label, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "eval label" in err
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_eval_fewer_classes_than_model_exit(workspace, tmp_path, capsys):
+    # the k_s = 3 checkpoint on a 2-class eval table
+    _, data, out, _ = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    labels = dataio.load_labels(copy / dataio.EVAL_LABELS)
+    dataio.save_labels(labels % 2, copy / dataio.EVAL_LABELS)
+    table = dataio.load_attribute_table(copy / dataio.EVAL_ATTRS)
+    dataio.save_attribute_table(table[:2], copy / dataio.EVAL_ATTRS)
+    report_path = tmp_path / "r.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(copy),
+                     "--out", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2 classes" in err
+    assert not report_path.exists()
+
+
+def test_eval_non_finite_checkpoint_exit(workspace, tmp_path, capsys):
+    _, data, out, _ = workspace
+    params = load_checkpoint(out / "checkpoint.bin")
+    params.arrays["c_w2"][0, 0] = np.nan
+    ckpt = tmp_path / "checkpoint.bin"
+    save_checkpoint(params, ckpt)
+    report_path = tmp_path / "r.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint", str(ckpt),
+                     "--data", str(data), "--out", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "c_w2" in err
+    assert not report_path.exists()

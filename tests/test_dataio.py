@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from srosda import dataio
 from srosda.cli import TrainMeta
-from srosda.dataio import (SourceDataset, SynthSpec, TargetEval,
+from srosda.dataio import (SourceDataset, SynthSpec, TargetDataset, TargetEval,
                            default_synth_spec, load_attribute_table,
                            load_features, load_labels, load_source, load_target,
                            read_dataclass, read_kv, save_attribute_table, save_dataset,
@@ -33,6 +33,10 @@ def test_source_dataset_validation():
     with pytest.raises(DataError):
         SourceDataset(features=feats * np.nan, labels=np.array([0, 1, 0, 1]),
                       attr_table_seen=table)
+    # one label per feature row, also for a dataset built in code
+    with pytest.raises(DataError, match="mismatch"):
+        SourceDataset(features=feats, labels=np.array([0, 1, 0, 1, 0]),
+                      attr_table_seen=table)
 
 
 def test_target_eval_validation():
@@ -45,6 +49,15 @@ def test_target_eval_validation():
     with pytest.raises(DataError, match="0/1"):
         TargetEval(labels=np.array([0, 1]),
                    attr_table_full=np.array([[0, 1], [1, 2]]))
+    # one eval label per target row
+    TargetDataset(features=np.zeros((3, 2)),
+                  eval_data=TargetEval(labels=np.array([0, 2, 1]),
+                                       attr_table_full=table))
+    for n_rows in (2, 4):
+        with pytest.raises(DataError, match="mismatch"):
+            TargetDataset(features=np.zeros((n_rows, 2)),
+                          eval_data=TargetEval(labels=np.array([0, 2, 1]),
+                                               attr_table_full=table))
 
 
 def test_sample_attributes():
@@ -365,7 +378,7 @@ def test_load_source_length_mismatch(tmp_path):
     src, tgt = synth_generate(spec)
     save_dataset(src, tgt, tmp_path)
     save_labels(np.array([0, 1]), tmp_path / "source_labels.txt")
-    with pytest.raises(FormatError, match="mismatch"):
+    with pytest.raises(DataError, match="mismatch"):
         load_source(tmp_path)
 
 

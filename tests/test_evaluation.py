@@ -167,6 +167,19 @@ def test_eval_semantic_bounds_and_requirements(fixture):
                              attr_table_full=tgt.eval_data.attr_table_full[:3]))
     with pytest.raises(ProtocolError):
         eval_semantic(params, seen_only, f, a_hat)
+    with pytest.raises(ProtocolError):
+        eval_openset(params, seen_only, f)
+    # fewer eval classes than the model's k_s = 6 seen classes
+    params6 = init_params(8, 8, 6, seed=0)
+    f6, a_hat6 = joint_features(params6, tgt.features)
+    four_classes = TargetDataset(
+        features=tgt.features,
+        eval_data=TargetEval(labels=tgt.eval_data.labels % 4,
+                             attr_table_full=tgt.eval_data.attr_table_full[:4]))
+    with pytest.raises(ProtocolError, match="4 classes"):
+        eval_openset(params6, four_classes, f6)
+    with pytest.raises(ProtocolError, match="4 classes"):
+        eval_semantic(params6, four_classes, f6, a_hat6)
 
 
 def test_compute_report_fields(fixture):

@@ -229,6 +229,24 @@ def test_checkpoint_round_trip(tmp_path, params):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_save_checkpoint_atomic(tmp_path, params):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    assert np.array_equal(loaded.arrays["gz_w1"], params.arrays["gz_w1"])
+    # no temp files left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+    # a write that raises partway (here: a layer is missing) leaves the
+    # previous file intact and no temp file
+    before = path.read_bytes()
+    partial = model.ModelParams({n: a for n, a in params.arrays.items()
+                                 if n != "d_b2"})
+    with pytest.raises(KeyError, match="d_b2"):
+        save_checkpoint(partial, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
+
 def test_checkpoint_rejects_corruption(tmp_path, params):
     path = tmp_path / "model.bin"
     save_checkpoint(params, path)
@@ -244,6 +262,13 @@ def test_checkpoint_rejects_corruption(tmp_path, params):
         load_checkpoint(trunc)
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "missing.bin")
+    non_finite = tmp_path / "non_finite.bin"
+    for value in (np.nan, np.inf):
+        bad = copy_params(params)
+        bad.arrays["c_w2"][1, 0] = value
+        save_checkpoint(bad, non_finite)
+        with pytest.raises(FormatError, match="layer c_w2 has non-finite"):
+            load_checkpoint(non_finite)
 
 
 def test_checkpoint_every_prefix_and_trailing_bytes(tmp_path, monkeypatch):

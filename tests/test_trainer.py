@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import srosda
 from conftest import copy_params
-from srosda import model
+from srosda import model, trainer
 from srosda.dataio import (SynthSpec, TargetDataset, fields_to_kv,
                            synth_generate, write_kv)
 from srosda.evaluation import compute_report, save_report
@@ -19,8 +19,7 @@ from srosda.exceptions import (ConfigError, DataError, ProtocolError,
 from srosda.model import LAYER_NAMES, ModelParams, init_params
 from srosda.numkernel import make_rng
 from srosda.trainer import (BETA_MAX, TrainConfig, load_config, make_batches,
-                            refresh_pseudo, save_checkpoint_atomic,
-                            save_history, sgd_step, train)
+                            refresh_pseudo, save_history, sgd_step, train)
 
 SPEC = SynthSpec(k_s=3, k=2, d_x=8, d_a=8, n_source_per_class=8,
                  n_target_per_class=8, seed=9)
@@ -305,17 +304,26 @@ def test_train_keeps_no_embedding():
     assert model._kept is None
 
 
-def test_train_smoke_and_history():
+def test_train_smoke_and_history(monkeypatch):
     src, tgt = synth_generate(SPEC)
     cfg = small_cfg(epochs=3)
-    seen_epochs = []
-    params, history, pseudo = train(cfg, src, tgt.features,
-                                    on_epoch=lambda e, r: seen_epochs.append(e))
-    assert seen_epochs == [0, 1, 2]
+    events = []
+    refresh = trainer.refresh_pseudo
+
+    def recorded_refresh(*args, space, **kwargs):
+        events.append(("refresh", space))
+        return refresh(*args, space=space, **kwargs)
+
+    monkeypatch.setattr(trainer, "refresh_pseudo", recorded_refresh)
+    params, history, pseudo = train(
+        cfg, src, tgt.features,
+        on_epoch=lambda e, r: events.append(("epoch", e)))
+    # raw features before epoch 0, then z every refresh_period (2) epochs
+    assert events == [("refresh", "x"), ("epoch", 0), ("epoch", 1),
+                      ("refresh", "z"), ("epoch", 2)]
     assert len(history.epochs) == 3
-    assert history.refresh_epochs == [0, 2]
     assert len(history.params_checksum) == 64
-    assert np.isfinite(history.final_tau)
+    assert np.isfinite(pseudo.tau)
     for r in history.epochs:
         recomputed = (r.l_c + r.l_d + cfg.lambda1 * (r.l_r_source + r.l_r_target)
                       + cfg.lambda2 * r.l_a)
@@ -354,17 +362,6 @@ def test_save_history_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[-1]) == pytest.approx(history.epochs[0].total)
-
-
-def test_save_checkpoint_atomic(tmp_path):
-    from srosda.model import load_checkpoint
-    params = init_params(4, 3, 2, seed=0)
-    path = tmp_path / "ckpt.bin"
-    save_checkpoint_atomic(params, path)
-    loaded = load_checkpoint(path)
-    assert np.array_equal(loaded.arrays["gz_w1"], params.arrays["gz_w1"])
-    # no temp files left behind
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
 
 
 # trains 2 epochs of the default spec and prints the checksum, the report and
