@@ -9,7 +9,8 @@ losses may differentiate through the attribute-propagation solve.
 An explicit ``Tensor(v)`` is a differentiable leaf; a raw ndarray that an op
 wraps with ``ensure`` is a constant. A node needs a gradient if and only if
 one of its parents does; a node that needs none keeps neither its parents
-nor its backward closure, so the tape holds only what backward reads.
+nor its backward closure, so the tape holds only what backward reads, and a
+backward forms a gradient only for the parents that need one.
 """
 
 import numpy as np
@@ -138,8 +139,10 @@ def add(a, b):
     out_val = a.value + b.value
 
     def back(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(g, b.value.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(g, b.value.shape))
 
     return Tensor(out_val, (a, b), back)
 
@@ -149,8 +152,10 @@ def sub(a, b):
     out_val = a.value - b.value
 
     def back(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(-g, b.value.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g, a.value.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(-g, b.value.shape))
 
     return Tensor(out_val, (a, b), back)
 
@@ -160,8 +165,10 @@ def mul(a, b):
     out_val = a.value * b.value
 
     def back(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(g * a.value, b.value.shape))
 
     return Tensor(out_val, (a, b), back)
 
@@ -171,8 +178,11 @@ def div(a, b):
     out_val = a.value / b.value
 
     def back(g):
-        _acc(a, _unbroadcast(g / b.value, a.value.shape))
-        _acc(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+        if a.needs_grad:
+            _acc(a, _unbroadcast(g / b.value, a.value.shape))
+        if b.needs_grad:
+            _acc(b, _unbroadcast(-g * a.value / (b.value * b.value),
+                                 b.value.shape))
 
     return Tensor(out_val, (a, b), back)
 

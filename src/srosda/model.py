@@ -20,8 +20,8 @@ embedding is read-only, so ``forward_gz`` may return a read-only array.
 import hashlib
 import math
 import os
+import secrets
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Dict
 
@@ -189,9 +189,11 @@ def forward_d(params: ModelParams, f):
 # checkpoints
 
 def save_checkpoint(params: ModelParams, path):
-    """Write-temp-then-rename, so a failed write never leaves a torn file."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
+    """Write-temp-then-rename, so a failed write never leaves a torn file.
+    The temp file is created with mode 0666 less the umask, as ``open`` creates
+    the run's other files."""
+    tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)

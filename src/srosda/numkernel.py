@@ -3,6 +3,13 @@ dense inverses (Gauss-Jordan on one n x n working array, with the same
 operations per entry as eliminating ``[M | I]``), seeded RNG construction and
 a scoped BLAS single-thread pin.
 
+Above UPDATE_ROWS rows the inverse's rank-1 update runs one row chunk at a
+time through a chunk-sized buffer, with the outer product from ``einsum``
+whenever no product outside the pivot row is zero. ``einsum`` has no summed
+index, so a nonzero product comes out correctly rounded as from
+``multiply``: each entry still takes ``a - round(f*p)`` in the same order, and
+the bits do not change.
+
 Everything here is pure and double precision. Reductions rely on numpy's
 fixed left-to-right summation so repeated runs agree bitwise.
 """
@@ -16,6 +23,8 @@ import numpy as np
 from .exceptions import ContractError, DataError, SingularMatrixError
 
 MAX_INVERSE_SIZE = 512
+# rows per chunk of inv_small's rank-1 update: 128 x 512 doubles are 512 KiB
+UPDATE_ROWS = 128
 CONDITION_LIMIT = 1e12
 ZERO_NORM_EPS = 1e-12
 
@@ -134,7 +143,9 @@ def inv_small(m):
     step k left column k would become e_k and is never read again, so its
     slot takes the column of the right half that the step fills first (until
     then a unit vector, on which an update ``a - f*0`` changes nothing). The
-    slots are put back in column order at the end.
+    slots are put back in column order at the end. Above UPDATE_ROWS rows the
+    rank-1 update of each step runs a chunk of rows at a time (see
+    ``_update_in_chunks``).
 
     Raises ContractError on an empty, non-square or too large matrix, and
     SingularMatrixError on a (near-)zero pivot or when the 1-norm condition
@@ -151,9 +162,24 @@ def inv_small(m):
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
+    m_norm = np.abs(m).sum(axis=0).max()
     a = m.copy()
-    rows = np.arange(n)  # original row held at each position
-    update = np.empty((n, n))
+    rows = _eliminate(a, scale)
+    inv = np.empty_like(a)
+    inv[:, rows] = a
+    # the working array is spent: it takes |inv|, so no third n x n array
+    cond = m_norm * np.abs(inv, out=a).sum(axis=0).max()
+    if cond > CONDITION_LIMIT:
+        raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")
+    return inv
+
+
+def _eliminate(a, scale):
+    """Run the elimination on the working array ``a`` in place; returns the
+    original row held at each position."""
+    n = a.shape[0]
+    rows = np.arange(n)
+    buf = np.empty((min(n, UPDATE_ROWS), n))
     for col in range(n):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         pv = a[piv, col]
@@ -168,11 +194,42 @@ def inv_small(m):
         a[:, col] = 0.0
         a[col, col] = 1.0
         a[col] /= pv
-        np.multiply(factors[:, None], a[col], out=update)
-        a -= update
-    inv = np.empty_like(a)
-    inv[:, rows] = a
-    cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if cond > CONDITION_LIMIT:
-        raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")
-    return inv
+        if n <= UPDATE_ROWS:  # one chunk: the product is whole before a changes
+            np.multiply(factors[:, None], a[col], out=buf)
+            a -= buf
+        else:
+            _update_in_chunks(a, col, factors, buf)
+    return rows
+
+
+def _update_in_chunks(a, col, factors, buf):
+    """``a -= outer(factors, a[col])`` with the same bits, UPDATE_ROWS rows at
+    a time through ``buf``, so no n x n temporary is made.
+
+    The outer product runs through ``einsum``, which numpy computes about
+    twice as fast as the broadcast ``multiply``. It has no summed index, but
+    it adds each product onto a zeroed output, so a zero product comes out as
+    +0.0 whatever its sign, and ``a - f*p`` differs when that entry of ``a``
+    is -0.0. So ``einsum`` runs only when no product can be zero: every
+    factor but row col's and every pivot-row entry is nonzero, and the
+    product of the smallest magnitudes does not underflow. Row col's products
+    are then zeros subtracted from nonzero entries, which change nothing.
+    Otherwise ``multiply`` forms the chunks. The pivot row is a copy: the
+    chunk holding row col rewrites it (``-0.0 - 0*(-0.0)`` is +0.0), and
+    later chunks must read the old row, or their update differs from
+    ``a - outer(factors, a[col])`` in the signs of zeros. (The inverse's
+    bytes would not show it: each row's own step clears its zeros' signs.)
+    """
+    n = a.shape[0]
+    pivot_row = a[col].copy()
+    magnitudes = np.abs(factors)
+    magnitudes[col] = np.inf
+    nonzero_products = magnitudes.min() * np.abs(pivot_row).min() > 0.0
+    for r0 in range(0, n, UPDATE_ROWS):
+        r1 = min(r0 + UPDATE_ROWS, n)
+        out = buf[:r1 - r0]
+        if nonzero_products:
+            np.einsum("i,j->ij", factors[r0:r1], pivot_row, out=out)
+        else:
+            np.multiply(factors[r0:r1, None], pivot_row, out=out)
+        a[r0:r1] -= out

@@ -149,6 +149,27 @@ def test_constants_stay_off_the_tape():
     assert k.grad is None
 
 
+def test_binary_ops_skip_constant_parents(monkeypatch):
+    """add/sub/mul/div form a gradient only for a parent that needs one."""
+    shapes = []
+    unbroadcast = ad._unbroadcast
+
+    def spy(g, shape):
+        shapes.append(shape)
+        return unbroadcast(g, shape)
+
+    monkeypatch.setattr(ad, "_unbroadcast", spy)
+    rng = make_rng(9)
+    x = rng.normal(size=(3, 4))
+    k = rng.normal(size=(1, 4)) + 2.0  # a constant of another shape
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        for operands in ((0, 1), (1, 0)):
+            t = ad.Tensor(x)
+            shapes.clear()
+            ad.tsum(op(*[(t, k)[i] for i in operands])).backward()
+            assert shapes == [(3, 4)] and t.grad.shape == (3, 4)
+
+
 def test_reductions_concat_gather_reshape_transpose():
     rng = make_rng(3)
     a = rng.normal(size=(4, 3))

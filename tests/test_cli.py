@@ -1,4 +1,6 @@
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -65,6 +67,20 @@ def test_train_outputs(workspace):
     assert set(meta) == {"tau", "epochs", "seed", "use_fusion"}
     assert meta["use_fusion"] == "true"
     assert meta["epochs"] == "2"
+
+
+def test_run_files_share_the_umask_mode(workspace, tmp_path):
+    root, data, _, _ = workspace
+    out = tmp_path / "run"
+    before = os.umask(0o022)
+    try:
+        assert cli_main(["--quiet", "train", "--config", str(root / "config.txt"),
+                         "--data", str(data), "--out", str(out)]) == 0
+    finally:
+        os.umask(before)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes["checkpoint.bin"] == modes["history.csv"] == 0o644
+    assert set(modes.values()) == {0o644}
 
 
 def test_eval_report_contents(workspace):

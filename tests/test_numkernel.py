@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from srosda import numkernel
 from srosda.exceptions import (ContractError, DataError, SingularMatrixError,
                                SrosdaError)
-from srosda.numkernel import (CONDITION_LIMIT, check_finite, class_means,
-                              inv_small, make_rng, single_blas_thread, sq_dist,
-                              sq_norms)
+from srosda.numkernel import (CONDITION_LIMIT, UPDATE_ROWS, check_finite,
+                              class_means, inv_small, make_rng,
+                              single_blas_thread, sq_dist, sq_norms)
 
 
 def test_make_rng_reproducible():
@@ -130,6 +131,76 @@ def test_inv_small_propagation_systems_match_oracle(n):
     _, _, system = propagation_system(z, 0.2)
     with single_blas_thread():
         assert inv_small(system).tobytes() == gauss_jordan_oracle(system).tobytes()
+
+
+# above UPDATE_ROWS rows the rank-1 update runs in chunks; these sizes put
+# pivot rows and their swaps in other chunks than the rows they update
+MULTI_CHUNK_SIZES = [UPDATE_ROWS + 1, 2 * UPDATE_ROWS + 3]
+
+
+@pytest.mark.parametrize("n", MULTI_CHUNK_SIZES)
+@pytest.mark.parametrize("kind", ["pivot", "random"])
+def test_inv_small_multi_chunk_matches_oracle(kind, n):
+    m = _test_matrix(kind, n, n, 0.0)
+    with single_blas_thread():
+        assert inv_small(m).tobytes() == gauss_jordan_oracle(m).tobytes()
+
+
+@pytest.mark.parametrize("n", MULTI_CHUNK_SIZES)
+def test_inv_small_signed_zero_pivot_rows_match_oracle(n):
+    """A row-shuffled triangular matrix with a negative diagonal: its zeros
+    divided by the pivots make -0.0 in the pivot rows, which each row's own
+    step turns into +0.0, and the zeros survive to the inverse, whose bytes
+    show their signs."""
+    rng = make_rng(n)
+    m = np.triu(rng.normal(size=(n, n)), 1) / n
+    np.fill_diagonal(m, -1.0 - rng.random(n))
+    m = m[rng.permutation(n)]
+    with single_blas_thread():
+        assert inv_small(m).tobytes() == gauss_jordan_oracle(m).tobytes()
+
+
+@pytest.mark.parametrize("case", ["pivot-row-zeros", "zero-factors", "underflow"])
+def test_update_in_chunks_matches_textbook_update(case):
+    """One step's update against ``a - outer(factors, a[col])``, with -0.0
+    entries that a product of the wrong sign of zero would flip. An
+    inverse cannot show all of these: each row's own pivot step clears the
+    signs of its zeros. ``pivot-row-zeros`` fails if later chunks read the
+    pivot row after its own chunk rewrote it; ``zero-factors`` and
+    ``underflow`` fail if einsum forms a product that is zero."""
+    n, col = UPDATE_ROWS + 1, 3
+    rng = make_rng(0)
+    a, factors = rng.normal(size=(n, n)), rng.normal(size=n)
+    if case == "pivot-row-zeros":
+        a[col, ::2] = -0.0
+        a[UPDATE_ROWS:, ::2] = -0.0
+    elif case == "zero-factors":
+        factors[5::7] = 0.0
+        a[5::7] = -0.0
+    else:  # nonzero factors and pivot row whose products underflow to zero
+        a[:] = -0.0
+        a[col] = 1e-200 * rng.normal(size=n)
+        factors *= 1e-200
+    factors[col] = 0.0
+    expected = a - np.outer(factors, a[col])
+    numkernel._update_in_chunks(a, col, factors, np.empty((UPDATE_ROWS, n)))
+    assert a.tobytes() == expected.tobytes()
+
+
+def test_inv_small_peak_memory_has_no_square_temporary():
+    n = 512
+    z = make_rng(n).normal(size=(n, 16))
+    _, _, system = propagation_system(z, 0.2)
+    working = result = n * n * 8
+    chunk_buffer = UPDATE_ROWS * n * 8
+    tracemalloc.start()
+    try:
+        with single_blas_thread():
+            inv_small(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < working + result + chunk_buffer
 
 
 def test_single_blas_thread_pins_and_restores(two_blas_threads):
