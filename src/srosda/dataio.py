@@ -1,17 +1,26 @@
 """Dataset model, on-disk formats and synthetic cross-domain data generation.
 
-Formats:
+Formats (all little-endian; every text file is UTF-8 with ``\n`` newlines):
   * feature file: magic ``SROS``, u32 version=1, u64 N, u64 d, then N*d
-    little-endian float32, row-major;
+    float32, row-major;
   * labels file: one decimal integer per line;
   * attribute CSV: ``class_id,bit,bit,...`` with 0/1 bits, dense ids;
-  * report file: UTF-8 ``key = value`` lines.
+  * ``key = value`` lines: reports, configs, specs and ``train_meta.txt``;
+  * checkpoint (``model``): magic ``SROSCKPT``, u32 version=1, u32 layer
+    count, then per layer u8 rank, u64 dims and float64 values, row-major;
+  * history CSV (``trainer``): ``epoch,l_c,l_d,l_r_s,l_r_t,l_a,total``;
+  * pseudo dump (``separation``): TSV of sample_id, pseudo_label,
+    confidence, seen_flag.
+
+``write_file`` is the one writer of all of them: a file appears whole or not
+at all.
 
 Evaluation-only target annotations live in a separate TargetEval object so
 training-path code never sees them.
 """
 
 import os
+import secrets
 import struct
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
@@ -251,36 +260,47 @@ def default_synth_spec(seed=7):
 
 
 # ---------------------------------------------------------------------------
-# feature / label / attribute files
+# the file writer; feature / label / attribute files
 
-def _as_feature_payload(matrix, what="features"):
-    """The 2-D float32 payload of a feature file; DataError if a value is
-    non-finite or overflows float32."""
+def write_file(path, data):
+    """Write ``data`` to ``path`` whole or not at all: a str as UTF-8, a
+    bytes-like object, or a list of bytes-like chunks in order. The data go
+    to a temp file beside ``path``, created with mode 0666 less the umask,
+    which is then renamed over ``path``; on failure the temp file is removed
+    and ``path`` is left as it was."""
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(data if isinstance(data, list) else [data])
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _feature_file(matrix, what="features"):
+    """The chunks of a feature file holding ``matrix``; DataError if a value
+    is non-finite or overflows float32."""
     matrix = check_finite(matrix, what)
     if matrix.ndim != 2:
         raise ContractError("feature matrix must be 2-D")
     with np.errstate(over="ignore"):
-        payload = matrix.astype("<f4")
+        payload = matrix.astype("<f4", order="C")  # written from its buffer
     if not np.all(np.isfinite(payload)):
         raise DataError(f"{what} overflow float32 (a magnitude above "
                         f"{float(np.finfo(np.float32).max):.4g})")
-    return payload
-
-
-def _write_features(payload, path):
-    n, d = payload.shape
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<I", FEATURE_VERSION))
-        fh.write(struct.pack("<QQ", n, d))
-        fh.write(payload.tobytes())
+    return [FEATURE_MAGIC, struct.pack("<IQQ", FEATURE_VERSION, *payload.shape),
+            payload]
 
 
 def save_features(matrix, path):
     """Write a binary ``SROS`` feature file. A value that is not finite, or
     not finite once cast to float32, raises DataError before the file is
     opened."""
-    _write_features(_as_feature_payload(matrix), path)
+    write_file(path, _feature_file(matrix))
 
 
 def read_struct(fh, fmt, path, field):
@@ -315,32 +335,32 @@ def load_features(path):
     return data
 
 
+def _text_lines(path):
+    """(line number, stripped line) of each non-blank line of a text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
+
+
 def save_labels(labels, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in np.asarray(labels).ravel():
-            fh.write(f"{int(v)}\n")
+    write_file(path, "".join(f"{int(v)}\n" for v in np.asarray(labels).ravel()))
 
 
 def load_labels(path):
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(int(line))
-            except ValueError:
-                raise FormatError(f"{path}: bad label at line {lineno}: {line!r}") from None
+    for lineno, line in _text_lines(path):
+        try:
+            out.append(int(line))
+        except ValueError:
+            raise FormatError(f"{path}: bad label at line {lineno}: {line!r}") from None
     return np.asarray(out, dtype=np.int64)
 
 
 def save_attribute_table(table, path):
-    table = np.asarray(table)
-    with open(path, "w", encoding="utf-8") as fh:
-        for cid, row in enumerate(table):
-            bits = ",".join(str(int(b)) for b in row)
-            fh.write(f"{cid},{bits}\n")
+    rows = (",".join(str(int(b)) for b in row) for row in np.asarray(table))
+    write_file(path, "".join(f"{cid},{bits}\n" for cid, bits in enumerate(rows)))
 
 
 def load_attribute_table(path):
@@ -348,26 +368,22 @@ def load_attribute_table(path):
     binary table sorted by class id."""
     entries = {}
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split(",")
-            try:
-                cid = int(toks[0])
-                bits = [int(t) for t in toks[1:]]
-            except ValueError:
-                raise FormatError(f"{path}: bad integer at line {lineno}") from None
-            if any(b not in (0, 1) for b in bits):
-                raise FormatError(f"{path}: non-binary attribute at line {lineno}")
-            if cid in entries:
-                raise FormatError(f"{path}: duplicate class id {cid} at line {lineno}")
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise FormatError(f"{path}: ragged row at line {lineno}")
-            entries[cid] = bits
+    for lineno, line in _text_lines(path):
+        toks = line.split(",")
+        try:
+            cid = int(toks[0])
+            bits = [int(t) for t in toks[1:]]
+        except ValueError:
+            raise FormatError(f"{path}: bad integer at line {lineno}") from None
+        if any(b not in (0, 1) for b in bits):
+            raise FormatError(f"{path}: non-binary attribute at line {lineno}")
+        if cid in entries:
+            raise FormatError(f"{path}: duplicate class id {cid} at line {lineno}")
+        if width is None:
+            width = len(bits)
+        elif len(bits) != width:
+            raise FormatError(f"{path}: ragged row at line {lineno}")
+        entries[cid] = bits
     if not entries:
         raise FormatError(f"{path}: empty attribute table")
     k = len(entries)
@@ -391,13 +407,13 @@ EVAL_ATTRS = "target_eval_attributes.csv"
 def save_dataset(source: SourceDataset, target: TargetDataset, out_dir):
     """Write the dataset directory; features that do not fit float32 raise
     DataError before anything is created."""
-    source_payload = _as_feature_payload(source.features, "source features")
-    target_payload = _as_feature_payload(target.features, "target features")
+    source_file = _feature_file(source.features, "source features")
+    target_file = _feature_file(target.features, "target features")
     os.makedirs(out_dir, exist_ok=True)
-    _write_features(source_payload, os.path.join(out_dir, SOURCE_FEATURES))
+    write_file(os.path.join(out_dir, SOURCE_FEATURES), source_file)
     save_labels(source.labels, os.path.join(out_dir, SOURCE_LABELS))
     save_attribute_table(source.attr_table_seen, os.path.join(out_dir, SOURCE_ATTRS))
-    _write_features(target_payload, os.path.join(out_dir, TARGET_FEATURES))
+    write_file(os.path.join(out_dir, TARGET_FEATURES), target_file)
     if target.eval_data is not None:
         save_labels(target.eval_data.labels, os.path.join(out_dir, EVAL_LABELS))
         save_attribute_table(target.eval_data.attr_table_full,
@@ -426,23 +442,24 @@ def load_target(data_dir, with_eval=False):
 
 def write_kv(pairs, path):
     """Write ``key = value`` lines; deterministic byte-for-byte output."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in pairs:
-            fh.write(f"{key} = {value}\n")
+    write_file(path, "".join(f"{key} = {value}\n" for key, value in pairs))
 
 
 def read_kv(path):
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise FormatError(f"{path}: expected 'key = value' at line {lineno}")
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
-    return pairs
+    """The ``(key, value)`` pairs of a ``key = value`` file, skipping blank
+    and ``#`` lines; FormatError on a line without ``=`` or a repeated key."""
+    pairs = {}
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise FormatError(f"{path}: expected 'key = value' at line {lineno}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in pairs:
+            raise FormatError(f"{path}: key {key!r} is given more than once "
+                              f"at line {lineno}")
+        pairs[key] = value
+    return list(pairs.items())
 
 
 def _parse_bool(text):
@@ -475,16 +492,14 @@ def read_dataclass(path, cls):
 
     Each value is parsed by its field's type: ``int``, ``float``, or ``bool``
     written ``true``/``false``. Keys absent from the file take the field
-    defaults. Unknown or repeated keys, malformed values and missing
-    required fields raise ConfigError.
+    defaults. Unknown keys, malformed values and missing required fields
+    raise ConfigError; ``read_kv`` rejects a repeated key (FormatError).
     """
     types = {f.name: f.type for f in fields(cls)}
     kwargs = {}
     for key, value in read_kv(path):
         if key not in types:
             raise ConfigError(f"{path}: unknown key {key!r}")
-        if key in kwargs:
-            raise ConfigError(f"{path}: key {key!r} is given more than once")
         try:
             kwargs[key] = _FIELD_PARSERS[types[key]](value)
         except ValueError:

@@ -1,7 +1,8 @@
 """Evaluation protocols: open-set recognition (OS / OS* / OS-diamond),
 two-stage semantic recovery (S / U / H) and per-sample attribute
-precision/recall. All accuracies are class-averaged; evaluation is read-only
-over the model and uses raw attribute predictions (no batch propagation).
+precision/recall. All accuracies are averaged over the classes with eval
+samples; evaluation is read-only over the model and uses raw attribute
+predictions (no batch propagation).
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +33,13 @@ class MetricsReport:
     epochs: int
     seed: int
     attr_pr: List[Tuple[float, float]] = field(default_factory=list)
+
+
+def _class_average(correct, total):
+    """Mean of ``correct / total`` over the classes with ``total`` > 0, or 0
+    when there is none; OS*, S and U all use it."""
+    present = total > 0
+    return float(np.mean(correct[present] / total[present])) if present.any() else 0.0
 
 
 def harmonic_mean(s, u):
@@ -77,12 +85,7 @@ def eval_openset(params: ModelParams, target: TargetDataset, f):
     confusion = np.zeros((k_t, k_s + 1), dtype=np.int64)
     np.add.at(confusion, (labels, pred), 1)
 
-    seen_accs = []
-    for c in range(k_s):
-        row = confusion[c]
-        total = row.sum()
-        seen_accs.append(row[c] / total if total else 0.0)
-    os_star = float(np.mean(seen_accs)) if seen_accs else 0.0
+    os_star = _class_average(np.diag(confusion[:k_s]), confusion[:k_s].sum(axis=1))
     unseen_total = confusion[k_s:].sum()
     unseen_correct = confusion[k_s:, k_s].sum()
     os_diamond = float(unseen_correct / unseen_total) if unseen_total else 0.0
@@ -112,16 +115,10 @@ def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
         lab, _, _ = predict_all(a_hat[unseen_rows], table[k_s:])
         pred_class[unseen_rows] = lab + k_s
 
-    def class_avg(classes):
-        accs = []
-        for c in classes:
-            mask = labels == c
-            if mask.any():
-                accs.append(float(np.mean(pred_class[mask] == c)))
-        return float(np.mean(accs)) if accs else 0.0
-
-    s = class_avg(range(k_s))
-    u = class_avg(range(k_s, k_t))
+    correct = np.bincount(labels[pred_class == labels], minlength=k_t)
+    total = np.bincount(labels, minlength=k_t)
+    s = _class_average(correct[:k_s], total[:k_s])
+    u = _class_average(correct[k_s:], total[k_s:])
     return s, u, harmonic_mean(s, u)
 
 
@@ -184,11 +181,7 @@ def save_report(report: MetricsReport, path):
 
 
 def load_report(path) -> MetricsReport:
-    values = {}
-    for key, value in read_kv(path):
-        if key in values:
-            raise FormatError(f"{path}: report key {key!r} is given more than once")
-        values[key] = value
+    values = dict(read_kv(path))
     try:
         rows = int(values["confusion.rows"])
         cols = int(values["confusion.cols"])

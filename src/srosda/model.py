@@ -20,7 +20,6 @@ embedding is read-only, so ``forward_gz`` may return a read-only array.
 import hashlib
 import math
 import os
-import secrets
 import struct
 from dataclasses import dataclass
 from typing import Dict
@@ -28,7 +27,7 @@ from typing import Dict
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import read_struct
+from .dataio import read_struct, write_file
 from .exceptions import ContractError, FormatError
 from .numkernel import check_finite, make_rng
 
@@ -189,26 +188,13 @@ def forward_d(params: ModelParams, f):
 # checkpoints
 
 def save_checkpoint(params: ModelParams, path):
-    """Write-temp-then-rename, so a failed write never leaves a torn file.
-    The temp file is created with mode 0666 less the umask, as ``open`` creates
-    the run's other files."""
-    tmp = f"{os.path.abspath(path)}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<I", len(LAYER_NAMES)))
-            for name in LAYER_NAMES:
-                arr = params.arrays[name]
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(arr.astype("<f8").tobytes())
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    """Write the checkpoint through ``write_file``, so a failed write never
+    leaves a torn file. The layers are written from their own buffers."""
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(LAYER_NAMES))]
+    for name in LAYER_NAMES:
+        arr = np.ascontiguousarray(params.arrays[name], dtype="<f8")
+        chunks += [struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape), arr]
+    write_file(path, chunks)
 
 
 def load_checkpoint(path):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import write_file
 from .exceptions import ContractError, DataError
 from .numkernel import (ZERO_NORM_EPS, check_finite, class_means, make_rng,
                         sq_dist, sq_norms)
@@ -212,8 +213,8 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
 
 def dump_pseudo_state(state: PseudoState, path):
     """Debug dump: sample_id, pseudo_label, confidence, seen_flag (TSV)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_id\tpseudo_label\tconfidence\tseen_flag\n")
-        for i, (lab, c, s) in enumerate(zip(state.pseudo_label, state.confidence,
-                                            state.seen_mask)):
-            fh.write(f"{i}\t{int(lab)}\t{float(c)!r}\t{int(s)}\n")
+    rows = ["sample_id\tpseudo_label\tconfidence\tseen_flag\n"]
+    for i, (lab, c, s) in enumerate(zip(state.pseudo_label, state.confidence,
+                                        state.seen_mask)):
+        rows.append(f"{i}\t{int(lab)}\t{float(c)!r}\t{int(s)}\n")
+    write_file(path, "".join(rows))

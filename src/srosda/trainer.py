@@ -18,7 +18,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dataio import SourceDataset, read_dataclass
+from .dataio import SourceDataset, read_dataclass, write_file
 from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params
 from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, check_finite,
@@ -230,8 +230,8 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
 
 def save_history(history: TrainHistory, path):
     """Per-epoch loss log: epoch,l_c,l_d,l_r_s,l_r_t,l_a,total."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,l_c,l_d,l_r_s,l_r_t,l_a,total\n")
-        for i, r in enumerate(history.epochs):
-            cols = (r.l_c, r.l_d, r.l_r_source, r.l_r_target, r.l_a, r.total)
-            fh.write(f"{i}," + ",".join(repr(float(c)) for c in cols) + "\n")
+    rows = ["epoch,l_c,l_d,l_r_s,l_r_t,l_a,total\n"]
+    for i, r in enumerate(history.epochs):
+        cols = (r.l_c, r.l_d, r.l_r_source, r.l_r_target, r.l_a, r.total)
+        rows.append(f"{i}," + ",".join(repr(float(c)) for c in cols) + "\n")
+    write_file(path, "".join(rows))

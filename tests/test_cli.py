@@ -70,15 +70,22 @@ def test_train_outputs(workspace):
 
 
 def test_run_files_share_the_umask_mode(workspace, tmp_path):
-    root, data, _, _ = workspace
-    out = tmp_path / "run"
+    root, _, _, _ = workspace
+    data, out = tmp_path / "data", tmp_path / "run"
     before = os.umask(0o022)
     try:
+        assert cli_main(["--quiet", "synth", "--spec", str(root / "spec.txt"),
+                         "--out", str(data)]) == 0
         assert cli_main(["--quiet", "train", "--config", str(root / "config.txt"),
                          "--data", str(data), "--out", str(out)]) == 0
+        assert cli_main(["--quiet", "eval", "--checkpoint",
+                         str(out / "checkpoint.bin"), "--data", str(data),
+                         "--out", str(out / "report.txt")]) == 0
     finally:
         os.umask(before)
-    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+             for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(modes) == 11
     assert modes["checkpoint.bin"] == modes["history.csv"] == 0o644
     assert set(modes.values()) == {0o644}
 

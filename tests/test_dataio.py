@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -7,13 +9,19 @@ from hypothesis import strategies as st
 from srosda import dataio
 from srosda.cli import TrainMeta
 from srosda.dataio import (SourceDataset, SynthSpec, TargetDataset, TargetEval,
-                           default_synth_spec, load_attribute_table,
+                           default_synth_spec, fields_to_kv, load_attribute_table,
                            load_features, load_labels, load_source, load_target,
                            read_dataclass, read_kv, save_attribute_table, save_dataset,
-                           save_features, save_labels, synth_generate, write_kv)
-from srosda.exceptions import (ConfigError, ContractError, DataError,
-                               FormatError, GenerationError)
+                           save_features, save_labels, synth_generate, write_file,
+                           write_kv)
+from srosda.evaluation import MetricsReport, save_report
+from srosda.exceptions import (ContractError, DataError, FormatError,
+                               GenerationError)
+from srosda.model import init_params, save_checkpoint
 from srosda.numkernel import make_rng
+from srosda.objective import BatchLossReport
+from srosda.separation import PseudoState, dump_pseudo_state
+from srosda.trainer import TrainHistory, save_history
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +239,88 @@ def test_synth_zero_rotation_is_identity():
 
 
 # ---------------------------------------------------------------------------
+# the one file writer
+
+def test_write_file_data_kinds(tmp_path):
+    path = tmp_path / "out"
+    write_file(path, "é\n")
+    assert path.read_bytes() == "é\n".encode("utf-8")
+    write_file(path, b"\x00\x01")
+    assert path.read_bytes() == b"\x00\x01"
+    write_file(path, [b"ab", np.array([1.0]), memoryview(b"c")])
+    assert path.read_bytes() == b"ab" + np.array([1.0]).tobytes() + b"c"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_write_file_replaces_a_symlink(tmp_path):
+    target = tmp_path / "target"
+    target.write_text("old")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    write_file(link, "new")
+    assert not link.is_symlink() and link.read_text() == "new"
+    assert target.read_text() == "old"
+
+
+TINY_SPEC = SynthSpec(k_s=2, k=1, d_x=4, d_a=6, n_source_per_class=3,
+                      n_target_per_class=3, seed=6)
+
+
+def _report(v):
+    return MetricsReport(os=v, os_star=v, os_diamond=v, s=v, u=v, h=v,
+                         confusion=np.ones((2, 2), dtype=np.int64), tau=0.5,
+                         epochs=1, seed=0, attr_pr=[(v, 1.0)])
+
+
+def _pseudo(v):
+    return PseudoState(pseudo_label=np.array([v]), confidence=np.array([1.0]),
+                       tau=0.5, seen_mask=np.array([True]),
+                       centers=np.zeros((1, 1)), used_fallback=False)
+
+
+# each writer, called with version 0 or 1 of its content
+WRITERS = {
+    "features": lambda path, v: save_features(np.full((2, 3), float(v)), path),
+    "dataset": lambda path, v: save_dataset(
+        *synth_generate(replace(TINY_SPEC, seed=v)), path),
+    "labels": lambda path, v: save_labels([v, 1], path),
+    "attributes": lambda path, v: save_attribute_table([[v, 1]], path),
+    "report": lambda path, v: save_report(_report(float(v)), path),
+    "train_meta": lambda path, v: write_kv(fields_to_kv(TrainMeta(seed=v)), path),
+    "checkpoint": lambda path, v: save_checkpoint(init_params(2, 2, 1, seed=v), path),
+    "history": lambda path, v: save_history(
+        TrainHistory(epochs=[BatchLossReport(*[1.0] * 6)] * v), path),
+    "pseudo": lambda path, v: dump_pseudo_state(_pseudo(v), path),
+}
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_failed_write_leaves_previous_file(tmp_path, monkeypatch, writer):
+    write = WRITERS[writer]
+    path = tmp_path / "out"
+    write(path, 0)
+    before = _files(tmp_path)
+
+    def full_disk(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", full_disk)
+    with pytest.raises(OSError, match="no space"):
+        write(path, 1)
+    # the previous file is byte-equal, and no temp file is left
+    assert _files(tmp_path) == before
+    monkeypatch.undo()
+    write(path, 1)
+    assert _files(tmp_path).keys() == before.keys()
+    assert _files(tmp_path) != before
+
+
+# ---------------------------------------------------------------------------
 # feature file format
 
 def test_feature_round_trip(tmp_path):
@@ -395,6 +485,9 @@ def test_kv_round_trip(tmp_path):
     path.write_text("no separator here\n")
     with pytest.raises(FormatError):
         read_kv(path)
+    path.write_text("a = 1\n# a = 3\n\nb = 2\n a = 1\n")
+    with pytest.raises(FormatError, match="key 'a' is given more than once at line 5"):
+        read_kv(path)
 
 
 @pytest.mark.parametrize("cls, lines", [
@@ -406,5 +499,5 @@ def test_read_dataclass_rejects_repeated_key(tmp_path, cls, lines):
     path = tmp_path / "kv.txt"
     path.write_text(lines)
     repeated = lines.splitlines()[-1].split(" = ")[0]
-    with pytest.raises(ConfigError, match=f"'{repeated}' is given more than once"):
+    with pytest.raises(FormatError, match=f"'{repeated}' is given more than once"):
         read_dataclass(path, cls)

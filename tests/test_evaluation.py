@@ -150,6 +150,19 @@ def test_eval_openset_identity_and_confusion(fixture):
                                        / confusion[k_s:].sum(), abs=1e-12)
 
 
+def test_class_without_samples_is_left_out_of_every_average(fixture):
+    params, tgt = fixture
+    keep = tgt.eval_data.labels != 1  # seen class 1 has no eval samples
+    part = TargetDataset(features=tgt.features[keep],
+                         eval_data=TargetEval(labels=tgt.eval_data.labels[keep],
+                                              attr_table_full=tgt.eval_data.attr_table_full))
+    f, _ = joint_features(params, part.features)
+    os_val, os_star, os_diamond, confusion = eval_openset(params, part, f)
+    assert confusion[1].sum() == 0
+    assert os_star == np.mean([confusion[c, c] / confusion[c].sum() for c in (0, 2)])
+    assert os_val == pytest.approx((3 * os_star + os_diamond) / 4, abs=1e-15)
+
+
 def test_eval_semantic_bounds_and_requirements(fixture):
     params, tgt = fixture
     f, a_hat = joint_features(params, tgt.features)

@@ -14,8 +14,8 @@ from srosda import model, trainer
 from srosda.dataio import (SynthSpec, TargetDataset, fields_to_kv,
                            synth_generate, write_kv)
 from srosda.evaluation import compute_report, save_report
-from srosda.exceptions import (ConfigError, DataError, ProtocolError,
-                               TrainingError)
+from srosda.exceptions import (ConfigError, DataError, FormatError,
+                               ProtocolError, TrainingError)
 from srosda.model import LAYER_NAMES, ModelParams, init_params
 from srosda.numkernel import make_rng
 from srosda.trainer import (BETA_MAX, TrainConfig, load_config, make_batches,
@@ -82,7 +82,7 @@ def test_config_round_trip(tmp_path):
 def test_load_config_rejects_repeated_key(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("k = 2\nepochs = 5\nlr = 0.01\nepochs = 100\n")
-    with pytest.raises(ConfigError, match="'epochs' is given more than once"):
+    with pytest.raises(FormatError, match="'epochs' is given more than once"):
         load_config(path)
 
 
