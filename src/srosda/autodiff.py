@@ -11,6 +11,10 @@ wraps with ``ensure`` is a constant. A node needs a gradient if and only if
 one of its parents does; a node that needs none keeps neither its parents
 nor its backward closure, so the tape holds only what backward reads, and a
 backward forms a gradient only for the parents that need one.
+
+``backward`` consumes the tape: each node that has parents drops its
+gradient, parents and closure once its own backward has run, so only leaves
+keep ``grad`` and a built graph takes one backward.
 """
 
 import numpy as np
@@ -23,8 +27,8 @@ SQRT_GRAD_FLOOR = 1e-12
 
 class Tensor:
     """A node in the computation graph. Leaf tensors have no parents; calling
-    ``backward()`` on a scalar output accumulates ``grad`` on every node that
-    ``needs_grad``."""
+    ``backward()`` on a scalar output sets ``grad`` on every leaf that
+    ``needs_grad`` and consumes the graph above the leaves."""
 
     __slots__ = ("value", "grad", "needs_grad", "_parents", "_backward")
 
@@ -56,9 +60,16 @@ class Tensor:
         for node in order:
             node.grad = None
         self.grad = np.ones_like(self.value)
-        for node in reversed(order):
+        # pop, so the list stops holding a node once its turn has passed;
+        # dropping the closure frees the arrays that only its backward read
+        while order:
+            node = order.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
+                node._parents = ()
+                node._backward = _consumed
 
     # operator sugar
     def __add__(self, other):
@@ -88,6 +99,10 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
+
+
+def _consumed(g):
+    raise ContractError("backward through a consumed tape")
 
 
 def _topo_order(root):

@@ -406,7 +406,8 @@ EVAL_ATTRS = "target_eval_attributes.csv"
 
 def save_dataset(source: SourceDataset, target: TargetDataset, out_dir):
     """Write the dataset directory; features that do not fit float32 raise
-    DataError before anything is created."""
+    DataError before anything is created. A target without eval data
+    removes the eval files a previous dataset left in ``out_dir``."""
     source_file = _feature_file(source.features, "source features")
     target_file = _feature_file(target.features, "target features")
     os.makedirs(out_dir, exist_ok=True)
@@ -418,6 +419,12 @@ def save_dataset(source: SourceDataset, target: TargetDataset, out_dir):
         save_labels(target.eval_data.labels, os.path.join(out_dir, EVAL_LABELS))
         save_attribute_table(target.eval_data.attr_table_full,
                              os.path.join(out_dir, EVAL_ATTRS))
+    else:
+        for name in (EVAL_LABELS, EVAL_ATTRS):
+            try:
+                os.remove(os.path.join(out_dir, name))
+            except FileNotFoundError:
+                pass
 
 
 def load_source(data_dir):

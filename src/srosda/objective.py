@@ -173,8 +173,9 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     ``use_fusion`` switches.
 
     Returns (total Tensor, BatchLossReport, param tensors, term Tensors);
-    the last maps {"l_c", "l_d", "l_r", "l_a"} to unweighted loss nodes so
-    individual terms can be differentiated in isolation.
+    the last maps {"l_c", "l_d", "l_r", "l_a"} to unweighted loss nodes.
+    Each built graph takes one backward (it consumes the tape), so the graph
+    is rebuilt to differentiate another term.
     """
     pt = param_tensors(params)
     ns = batch.xs.shape[0]

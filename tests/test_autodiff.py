@@ -296,3 +296,43 @@ def test_deep_graph_iterative_backward():
         out = out + 0.0
     out.backward()
     assert float(t.grad) == 1.0
+
+
+def consumable_graph():
+    """(root, leaf, constant, non-leaf nodes) of a small graph that mixes a
+    fused layer, a shared node and a constant."""
+    rng = make_rng(11)
+    w = ad.Tensor(rng.normal(size=(3, 2)))
+    c = ad.ensure(rng.normal(size=(4, 2)))
+    h = ad.affine(rng.normal(size=(4, 3)), w, np.zeros(2), relu=True)
+    s = ad.sigmoid(h)
+    prod = s * s
+    scaled = prod * c
+    root = ad.tsum(scaled + s)
+    return root, w, c, [h, s, prod, scaled, root]
+
+
+def test_backward_consumes_the_tape():
+    root, w, c, inner = consumable_graph()
+    root.backward()
+    for node in inner:
+        assert node.grad is None and node._parents == ()
+        with pytest.raises(ContractError, match="consumed tape"):
+            node._backward(np.ones_like(node.value))
+    # the leaf keeps its gradient, the constant gets none
+    assert w.grad is not None and w.grad.shape == (3, 2)
+    assert c.grad is None
+    # leaves are not consumed: a new graph over them differentiates again
+    ad.tsum(w * w).backward()
+    assert np.array_equal(w.grad, 2.0 * w.value)
+
+
+def test_consumed_tape_refuses_another_backward():
+    root, _, _, inner = consumable_graph()
+    root.backward()
+    with pytest.raises(ContractError, match="consumed tape"):
+        root.backward()
+    # a new graph whose gradient reaches a consumed node
+    s = inner[1]
+    with pytest.raises(ContractError, match="consumed tape"):
+        ad.tsum(s * 2.0).backward()

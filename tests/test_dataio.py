@@ -462,6 +462,22 @@ def test_dataset_directory_round_trip(tmp_path):
     assert load_target(tmp_path).eval_data is None
 
 
+def test_dataset_without_eval_removes_stale_eval_files(tmp_path):
+    spec = SynthSpec(k_s=3, k=2, d_x=6, d_a=8, n_source_per_class=4,
+                     n_target_per_class=5, seed=0)
+    src, tgt = synth_generate(spec)
+    save_dataset(src, tgt, tmp_path)
+    src1, tgt1 = synth_generate(replace(spec, seed=1))
+    save_dataset(src1, TargetDataset(features=tgt1.features), tmp_path)
+    assert not (tmp_path / dataio.EVAL_LABELS).exists()
+    assert not (tmp_path / dataio.EVAL_ATTRS).exists()
+    # seed 1's features never load beside seed 0's eval annotations
+    with pytest.raises(FileNotFoundError):
+        load_target(tmp_path, with_eval=True)
+    assert load_target(tmp_path).features.tobytes() == \
+        tgt1.features.astype(np.float32).astype(np.float64).tobytes()
+
+
 def test_load_source_length_mismatch(tmp_path):
     spec = SynthSpec(k_s=2, k=1, d_x=4, d_a=6, n_source_per_class=3,
                      n_target_per_class=3, seed=6)

@@ -1,18 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import propagation_oracle
 from srosda import autodiff as ad
 from srosda.exceptions import ContractError, PropagationError
+from srosda.dataio import default_synth_spec, synth_generate
 from srosda.model import init_params
-from srosda.numkernel import make_rng
+from srosda.numkernel import make_rng, single_blas_thread
 from srosda.objective import (BCE_EPS, TrainBatch, ZPrototypes,
                               batch_objective, build_adjacency_t,
                               compute_z_prototypes, loss_alignment_one_t,
                               loss_attribute_t, loss_classifier_t,
                               objective_grads, propagate_attributes_t,
                               propagation_matrix_t, total_objective)
-from srosda.trainer import TrainConfig
+from srosda.trainer import TrainConfig, refresh_pseudo
 
 D_X, D_A, K_S, K = 6, 4, 3, 2
 
@@ -319,3 +322,41 @@ def test_objective_grads_deterministic():
     assert v1 == v2
     for name in g1:
         assert np.array_equal(g1[name], g2[name])
+
+
+def test_wide_batch_backward_frees_the_tape():
+    # the default spec at batch 512: the forward tape holds about 25 dense
+    # 512 x 512 nodes (75 MiB). Backward consumes it, so each node's grad
+    # and closure go once its backward has run: the traced peak stays near
+    # the memory held at backward's start, and afterwards only the leaf
+    # gradients are held
+    source, target = synth_generate(default_synth_spec())
+    cfg = TrainConfig(k=3, batch_size=512)
+    params = init_params(source.features.shape[1], source.d_a, source.k_s,
+                         seed=cfg.seed)
+    pseudo, rz, pseudo_attrs = refresh_pseudo(params, source, target.features,
+                                              cfg, space="x", keep=False)
+    s, t = np.arange(256), np.arange(256)
+    batch = TrainBatch(xs=source.features[s], ys=source.labels[s],
+                       src_attrs=source.sample_attributes()[s],
+                       xt=target.features[t], t_pseudo=pseudo.pseudo_label[t],
+                       t_seen_mask=pseudo.seen_mask[t],
+                       t_pseudo_attrs=pseudo_attrs[t])
+    mib = 2 ** 20
+    tracemalloc.start()
+    try:
+        with single_blas_thread():
+            total, _, pt, _ = batch_objective(params, batch, rz, cfg)
+            at_start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            total.backward()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    leaf_grads = sum(p.grad.nbytes for p in pt.values() if p.grad is not None)
+    assert at_start > 50 * mib, "the batch-512 tape is no longer this large"
+    assert peak - at_start <= 16 * mib, \
+        f"backward peaks {(peak - at_start) / mib:.1f} MiB over its start"
+    assert held <= leaf_grads + mib, \
+        f"{held / mib:.1f} MiB held after backward, leaf grads " \
+        f"{leaf_grads / mib:.1f} MiB"
