@@ -19,6 +19,7 @@ Evaluation-only target annotations live in a separate TargetEval object so
 training-path code never sees them.
 """
 
+import numbers
 import os
 import secrets
 import struct
@@ -36,7 +37,11 @@ FEATURE_VERSION = 1
 
 
 def _check_annotations(labels, table, what, k_name):
-    """DataError unless every label indexes a row of the 0/1 ``table``."""
+    """DataError unless ``labels`` is a 1-D integer array each of whose
+    entries indexes a row of the 0/1 ``table``."""
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise DataError(f"{what} labels must be a 1-D integer array, got "
+                        f"{labels.dtype} of shape {labels.shape}")
     if labels.min(initial=0) < 0 or (labels.size and labels.max() >= table.shape[0]):
         raise DataError(f"{what} label outside [0, {k_name})")
     if not np.isin(table, (0, 1)).all():
@@ -52,9 +57,9 @@ class SourceDataset:
 
     def __post_init__(self):
         check_finite(self.features, "source features")
+        _check_annotations(self.labels, self.attr_table_seen, "source", "k_s")
         if self.labels.shape[0] != self.features.shape[0]:
             raise DataError("source labels / features length mismatch")
-        _check_annotations(self.labels, self.attr_table_seen, "source", "k_s")
 
     @property
     def k_s(self):
@@ -119,6 +124,7 @@ class SynthSpec:
         return self.k_s + self.k
 
     def validate(self):
+        check_field_types(self, ContractError)
         # written so that NaN fails every range check
         if self.k_s < 1 or self.k < 1:
             raise ContractError("k_s and k must be positive")
@@ -478,6 +484,24 @@ def _parse_bool(text):
 _FIELD_PARSERS = {int: int, float: float, bool: _parse_bool}
 _FIELD_FORMATS = {int: lambda v: str(int(v)), float: lambda v: repr(float(v)),
                   bool: lambda v: "true" if v else "false"}
+
+
+# the values each field type takes; a bool is never an int or a float
+_FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, bool: (bool, np.bool_)}
+
+
+def check_field_types(obj, error):
+    """Raise ``error`` unless each int, float and bool field of dataclass
+    ``obj`` holds a value of its type: a ``numbers.Integral`` for an int, a
+    ``numbers.Real`` for a float (neither a bool), a ``bool`` or ``np.bool_``
+    for a bool."""
+    for f in fields(obj):
+        if f.type not in _FIELD_KINDS:
+            continue
+        value = getattr(obj, f.name)
+        is_bool = isinstance(value, (bool, np.bool_))
+        if is_bool != (f.type is bool) or not isinstance(value, _FIELD_KINDS[f.type]):
+            raise error(f"{f.name} must be {f.type.__name__}, got {value!r}")
 
 
 def fields_to_kv(obj):

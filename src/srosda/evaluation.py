@@ -12,8 +12,9 @@ import numpy as np
 
 from .dataio import TargetDataset, fields_from_kv, fields_to_kv, read_kv, write_kv
 from .exceptions import ContractError, FormatError, ProtocolError
-from .model import ModelParams, forward_c, forward_d, forward_ga, forward_gz
-from .numkernel import single_blas_thread
+from .model import (ModelParams, forward_gz, tape_forward_c,
+                    tape_forward_d_logits, tape_forward_ga, tape_joint)
+from .numkernel import check_finite, single_blas_thread
 from .separation import predict_all
 
 ATTR_THRESHOLD = 0.5
@@ -51,12 +52,13 @@ def harmonic_mean(s, u):
 
 def joint_features(params: ModelParams, features, use_fusion=True):
     """(f, a_hat): G_A's raw attribute prediction a_hat for each row and the
-    joint feature f = z (+) a_hat, whose attribute part is zero without
-    fusion. ``compute_report`` runs it once for all three metrics."""
+    joint feature f = z (+) a_hat from ``tape_joint``, whose attribute part is
+    zero without fusion; DataError if f is not finite. ``compute_report``
+    runs it once for all three metrics."""
     z = forward_gz(params, features)
-    a_hat = forward_ga(params, z)
-    tail = a_hat if use_fusion else np.zeros_like(a_hat)
-    return np.hstack([z, tail]), a_hat
+    a_hat = tape_forward_ga(params.arrays, z).value
+    f = check_finite(tape_joint(z, a_hat, use_fusion).value, "joint features")
+    return f, a_hat
 
 
 def _eval_annotations(params: ModelParams, target: TargetDataset):
@@ -72,15 +74,15 @@ def _eval_annotations(params: ModelParams, target: TargetDataset):
 
 
 def eval_openset(params: ModelParams, target: TargetDataset, f):
-    """C's argmax over the joint features ``f`` (see ``joint_features``);
-    class k_s is 'unknown'. Returns (os, os_star, os_diamond, confusion)
-    where the confusion matrix resolves all k_t true classes against k_s+1
-    predictions.
+    """The argmax of C's logits (``tape_forward_c``) over the joint features
+    ``f`` (see ``joint_features``); class k_s is 'unknown'. Returns (os,
+    os_star, os_diamond, confusion) where the confusion matrix resolves all
+    k_t true classes against k_s+1 predictions.
     """
     labels, table = _eval_annotations(params, target)
     k_s = params.k_s
     k_t = table.shape[0]
-    pred = np.argmax(forward_c(params, f), axis=1)
+    pred = np.argmax(tape_forward_c(params.arrays, f).value, axis=1)
 
     confusion = np.zeros((k_t, k_s + 1), dtype=np.int64)
     np.add.at(confusion, (labels, pred), 1)
@@ -95,15 +97,16 @@ def eval_openset(params: ModelParams, target: TargetDataset, f):
 
 def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
     """Two-stage semantic recovery: D routes each joint feature in ``f`` to
-    the seen or unseen attribute rows, then the raw attribute prediction
-    ``a_hat`` is classified prototypically (cosine) against the routed rows.
-    Returns (s, u, h)."""
+    the unseen attribute rows where the argmax of its logits
+    (``tape_forward_d_logits``) is 1, else to the seen rows; then the raw
+    attribute prediction ``a_hat`` is classified prototypically (cosine)
+    against the routed rows. Returns (s, u, h)."""
     labels, table = _eval_annotations(params, target)
     table = table.astype(np.float64)
     k_s = params.k_s
     k_t = table.shape[0]
-    d_probs = forward_d(params, f)
-    says_unseen = np.argmax(d_probs, axis=1) == 1
+    says_unseen = np.argmax(tape_forward_d_logits(params.arrays, f).value,
+                            axis=1) == 1
 
     pred_class = np.empty(labels.shape[0], dtype=np.int64)
     seen_rows = np.flatnonzero(~says_unseen)

@@ -6,8 +6,10 @@ C:   (512 + d_a) -> 256 -> k_s + 1
 D:   (512 + d_a) -> 256 -> 2
 
 Each network has one forward definition, ``tape_forward_*``: two fused
-``autodiff.affine`` nodes, the first with ReLU. ``forward_*`` validate their
-input and run that forward on the raw arrays: constants, so no tape is kept.
+``autodiff.affine`` nodes, the first with ReLU. Run on ``params.arrays`` (raw
+arrays are constants) it keeps no tape. C and D read the joint feature that
+``tape_joint`` builds, the one owner of the fusion rule. ``forward_gz``
+validates rows from outside the package before it runs G_Z's forward.
 Weights initialize uniform(+-sqrt(6 / fan_in)), biases zero.
 
 ``forward_gz(params, x, keep=True)`` keeps its embedding in a one-entry,
@@ -116,11 +118,12 @@ def tape_forward_d_logits(pt, f):
     return _two_layers(pt, f, "d")
 
 
-def _check_input(x, dim, what):
-    x = check_finite(x, what)
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ContractError(f"{what} must be (n, {dim}), got {x.shape}")
-    return x
+def tape_joint(z, attrs, use_fusion):
+    """The joint feature z (+) attrs that C and D read; the attribute half is
+    zero without fusion."""
+    if not use_fusion:
+        attrs = np.zeros(attrs.shape)
+    return ad.concat([z, attrs], axis=1)
 
 
 _GZ_LAYERS = tuple(name for name in LAYER_NAMES if name.startswith("gz_"))
@@ -150,7 +153,9 @@ def forward_gz(params: ModelParams, x, keep=False):
     returned in place of a pass; anything else runs the pass.
     """
     global _kept
-    x = _check_input(x, params.d_x, "G_Z input")
+    x = check_finite(x, "G_Z input")
+    if x.ndim != 2 or x.shape[1] != params.d_x:
+        raise ContractError(f"G_Z input must be (n, {params.d_x}), got {x.shape}")
     if keep:
         _kept = None  # the old entry is freed before the pass allocates
     # the rows are compared first, so the weights are hashed only on a match
@@ -164,24 +169,6 @@ def forward_gz(params: ModelParams, x, keep=False):
         z.flags.writeable = False
         _kept = (x.copy(), _gz_digest(params.arrays), z)
     return z
-
-
-def forward_ga(params: ModelParams, z):
-    z = _check_input(z, Z_DIM, "G_A input")
-    return tape_forward_ga(params.arrays, z).value
-
-
-def forward_c(params: ModelParams, f):
-    f = _check_input(f, Z_DIM + params.d_a, "C input")
-    return tape_forward_c(params.arrays, f).value
-
-
-def forward_d(params: ModelParams, f):
-    """Softmaxed (seen, unseen) probability pairs; rows sum to 1."""
-    f = _check_input(f, Z_DIM + params.d_a, "D input")
-    logits = tape_forward_d_logits(params.arrays, f).value
-    shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------

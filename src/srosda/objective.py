@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .exceptions import ContractError, PropagationError, SingularMatrixError
 from .model import (ModelParams, param_tensors, tape_forward_c,
-                    tape_forward_d_logits, tape_forward_ga, tape_forward_gz)
+                    tape_forward_d_logits, tape_forward_ga, tape_forward_gz,
+                    tape_joint)
 from .numkernel import class_means
 
 SIGMA2_FLOOR = 1e-12
@@ -218,13 +219,10 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
         groups.append((ad.gather_rows(z, ns + unseen_idx),
                        ad.gather_rows(ahat, ns + unseen_idx),
                        np.full(unseen_idx.size, params.k_s), 1))
-    if not cfg.use_fusion:
-        groups = [(z_rows, np.zeros((z_rows.shape[0], params.d_a)), c, d)
-                  for z_rows, _, c, d in groups]
 
     def joint_rows(gs):
         """The groups' joint features stacked, on fresh concat nodes."""
-        return ad.concat([ad.concat([z_rows, ad.ensure(attrs)], axis=1)
+        return ad.concat([tape_joint(z_rows, attrs, cfg.use_fusion)
                           for z_rows, attrs, _, _ in gs], axis=0)
 
     # classifier C: every member of each sample's joint-feature set contributes

@@ -18,7 +18,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dataio import SourceDataset, read_dataclass, write_file
+from .dataio import (SourceDataset, check_field_types, read_dataclass,
+                     write_file)
 from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params
 from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, check_finite,
@@ -53,9 +54,11 @@ class TrainConfig:
     use_fusion: bool = True
 
     def validate(self, n_target=None):
-        """Raise ConfigError unless every field is in range. ``n_target``,
-        when given, is the number of target rows to train on: k-means++
-        draws k distinct centers from them, so k may not exceed it."""
+        """Raise ConfigError unless every field has its type (see
+        ``check_field_types``) and is in range. ``n_target``, when given, is
+        the number of target rows to train on: k-means++ draws k distinct
+        centers from them, so k may not exceed it."""
+        check_field_types(self, ConfigError)
         # written so that NaN fails every range check
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2")

@@ -68,6 +68,19 @@ def test_target_eval_validation():
                                                attr_table_full=table))
 
 
+@pytest.mark.parametrize("labels", [
+    np.array([0.0, 1.0, 0.0, 1.0]), np.array([[0], [1], [0], [1]]),
+    np.array([True, False, True, False]), np.array(1),
+])
+def test_dataset_labels_must_be_1d_integers(labels):
+    table = np.array([[0, 1], [1, 0]])
+    with pytest.raises(DataError, match="source labels must be a 1-D integer"):
+        SourceDataset(features=np.zeros((4, 3)), labels=labels,
+                      attr_table_seen=table)
+    with pytest.raises(DataError, match="eval labels must be a 1-D integer"):
+        TargetEval(labels=labels, attr_table_full=table)
+
+
 def test_sample_attributes():
     src = SourceDataset(features=np.zeros((3, 2)), labels=np.array([1, 0, 1]),
                         attr_table_seen=np.array([[0, 0, 1], [1, 1, 0]]))
@@ -160,6 +173,15 @@ def test_synth_spec_validation():
 def test_synth_spec_validation_rejects_out_of_range(field, value):
     with pytest.raises(ContractError, match=field):
         replace(default_synth_spec(), **{field: value}).validate()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_source_per_class", 2.5), ("d_a", 12.0), ("k", 3.0), ("k_s", True),
+    ("seed", np.float64(7)), ("cluster_spread", "1.0"), ("noise_level", None),
+])
+def test_synth_spec_validation_rejects_wrong_type(field, value):
+    with pytest.raises(ContractError, match=f"{field} must be"):
+        synth_generate(replace(default_synth_spec(), **{field: value}))
 
 
 def test_synth_overflow_is_generation_error():

@@ -4,13 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import copy_params
 from srosda.dataio import (SynthSpec, TargetDataset, TargetEval, read_kv,
                            synth_generate)
 from srosda.evaluation import (MetricsReport, attribute_pr_all, compute_report,
                                eval_openset, eval_semantic, harmonic_mean,
                                joint_features, load_report, save_report)
-from srosda.exceptions import ContractError, FormatError, ProtocolError
-from srosda.model import init_params
+from srosda.exceptions import (ContractError, DataError, FormatError,
+                               ProtocolError)
+from srosda.model import Z_DIM, forward_gz, init_params
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -201,6 +203,31 @@ def test_compute_report_fields(fixture):
     assert rep.tau == 0.42 and rep.epochs == 7 and rep.seed == 3
     assert len(rep.attr_pr) == tgt.features.shape[0]
     assert all(0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 for p, r in rep.attr_pr)
+
+
+def test_joint_features_fusion_rule(fixture):
+    params, tgt = fixture
+    z = forward_gz(params, tgt.features)
+    fused, a_hat = joint_features(params, tgt.features)
+    plain, plain_a_hat = joint_features(params, tgt.features, use_fusion=False)
+    for f in (fused, plain):
+        assert f.shape == (tgt.features.shape[0], Z_DIM + params.d_a)
+        assert f[:, :Z_DIM].tobytes() == z.tobytes()
+    assert fused[:, Z_DIM:].tobytes() == a_hat.tobytes()
+    # exactly +0.0 in every attribute slot, while a_hat is still G_A's output
+    assert plain[:, Z_DIM:].tobytes() == bytes(plain[:, Z_DIM:].nbytes)
+    assert plain_a_hat.tobytes() == a_hat.tobytes()
+
+
+@pytest.mark.parametrize("use_fusion", [True, False])
+def test_overflowed_activation_is_a_data_error(fixture, use_fusion):
+    params, tgt = fixture
+    big = copy_params(params)
+    big.arrays["gz_w2"] *= 1e308  # z overflows to +-inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="joint features"):
+            compute_report(big, tgt, tau=0.5, epochs=1, seed=0,
+                           use_fusion=use_fusion)
 
 
 def test_perfect_predictor_yields_perfect_metrics():

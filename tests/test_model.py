@@ -8,11 +8,9 @@ from srosda import autodiff as ad
 from srosda import model
 from srosda.exceptions import ContractError, FormatError
 from srosda.model import (GZ_HIDDEN, HEAD_HIDDEN, LAYER_NAMES, Z_DIM,
-                          forward_c, forward_d, forward_ga, forward_gz,
-                          init_params, load_checkpoint, param_tensors,
-                          save_checkpoint, tape_forward_c,
-                          tape_forward_d_logits, tape_forward_ga,
-                          tape_forward_gz)
+                          forward_gz, init_params, load_checkpoint,
+                          save_checkpoint, tape_forward_ga, tape_forward_gz,
+                          tape_joint)
 from srosda.numkernel import make_rng
 
 D_X, D_A, K_S = 10, 5, 4
@@ -66,7 +64,7 @@ def test_forward_gz_matches_reference(params):
 
 def test_forward_ga_range_and_reference(params):
     z = make_rng(1).normal(size=(5, Z_DIM))
-    a_hat = forward_ga(params, z)
+    a_hat = tape_forward_ga(params.arrays, z).value
     assert a_hat.shape == (5, D_A)
     assert a_hat.min() > 0.0 and a_hat.max() < 1.0
     arr = params.arrays
@@ -75,36 +73,30 @@ def test_forward_ga_range_and_reference(params):
     assert np.allclose(a_hat, expected, atol=1e-12)
 
 
-def test_forward_d_rows_are_probabilities(params):
-    f = make_rng(2).normal(size=(6, Z_DIM + D_A))
-    p = forward_d(params, f)
-    assert p.shape == (6, 2)
-    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
-    assert p.min() > 0.0
-
-
 def test_forward_shape_contracts(params):
     with pytest.raises(ContractError):
         forward_gz(params, np.zeros((3, D_X + 1)))
-    with pytest.raises(ContractError):
-        forward_c(params, np.zeros((3, Z_DIM)))
 
 
-def test_tape_forwards_match_plain(params):
-    rng = make_rng(4)
-    x = rng.normal(size=(6, D_X))
-    pt = param_tensors(params)
-    z_t = tape_forward_gz(pt, ad.Tensor(x))
-    assert np.allclose(z_t.value, forward_gz(params, x), atol=1e-12)
-    a_t = tape_forward_ga(pt, z_t)
-    assert np.allclose(a_t.value, forward_ga(params, z_t.value), atol=1e-12)
-    f = rng.normal(size=(6, Z_DIM + D_A))
-    assert np.allclose(tape_forward_c(pt, ad.Tensor(f)).value,
-                       forward_c(params, f), atol=1e-12)
-    logits = tape_forward_d_logits(pt, ad.Tensor(f)).value
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    assert np.allclose(e / e.sum(axis=1, keepdims=True),
-                       forward_d(params, f), atol=1e-12)
+@pytest.mark.parametrize("use_fusion", [True, False])
+def test_tape_joint_fusion_rule(use_fusion):
+    rng = make_rng(11)
+    z = ad.Tensor(rng.normal(size=(4, 3)))
+    attrs = ad.Tensor(rng.uniform(size=(4, 2)))
+    f = tape_joint(z, attrs, use_fusion)
+    tail = attrs.value if use_fusion else np.zeros((4, 2))
+    assert f.value.tobytes() == np.hstack([z.value, tail]).tobytes()
+    # raw arrays are constants with the same values
+    raw = tape_joint(z.value, attrs.value, use_fusion)
+    assert not raw.needs_grad and raw.value.tobytes() == f.value.tobytes()
+    # without fusion no gradient reaches the attribute half's source
+    weights = rng.normal(size=(4, 5))
+    ad.tsum(f * weights).backward()
+    assert np.array_equal(z.grad, weights[:, :3])
+    if use_fusion:
+        assert np.array_equal(attrs.grad, weights[:, 3:])
+    else:
+        assert attrs.grad is None
 
 
 def test_forward_gz_peak_memory(params):

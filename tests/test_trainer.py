@@ -62,6 +62,22 @@ def test_config_validation_rejects_out_of_range(field, value):
         small_cfg(**{field: value}).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 1.5), ("batch_size", 16.5), ("k", 3.0),
+    ("separation_rounds", 1.5), ("refresh_period", 1.5), ("seed", True),
+    ("use_prop", "no"), ("use_fusion", 1), ("lr", True), ("lr", "0.01"),
+    ("beta", None),
+])
+def test_config_validation_rejects_wrong_type(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        small_cfg(**{field: value}).validate()
+
+
+def test_config_validation_accepts_numpy_scalars():
+    small_cfg(epochs=np.int64(2), k=np.int32(2), lr=np.float32(0.01),
+              lambda1=1, use_prop=np.bool_(False)).validate()
+
+
 def test_config_round_trip(tmp_path):
     cfg = small_cfg(lr=0.01, use_prop=False, lambda1=0.5)
     path = tmp_path / "cfg.txt"
