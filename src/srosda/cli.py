@@ -7,29 +7,20 @@ stderr.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import dataio, evaluation, trainer
 from .dataio import SynthSpec
-from .exceptions import SrosdaError
+from .exceptions import FormatError, SrosdaError
 from .model import load_checkpoint, save_checkpoint
 from .separation import dump_pseudo_state
 
 CHECKPOINT_FILE = "checkpoint.bin"
 HISTORY_FILE = "history.csv"
 PSEUDO_FILE = "pseudo.tsv"
-META_FILE = "train_meta.txt"
-
-
-@dataclass
-class TrainMeta:
-    """What ``eval`` needs from a training run, kept in META_FILE."""
-    tau: float = float("nan")
-    epochs: int = 0
-    seed: int = 0
-    use_fusion: bool = True  # files written before this key were scored fused
+RUN_FILE = "run.txt"
 
 
 def cmd_synth(args):
@@ -62,9 +53,9 @@ def cmd_train(args):
     save_checkpoint(params, os.path.join(args.out, CHECKPOINT_FILE))
     trainer.save_history(history, os.path.join(args.out, HISTORY_FILE))
     dump_pseudo_state(pseudo, os.path.join(args.out, PSEUDO_FILE))
-    meta = TrainMeta(tau=pseudo.tau, epochs=cfg.epochs, seed=cfg.seed,
-                     use_fusion=cfg.use_fusion)
-    dataio.write_kv(dataio.fields_to_kv(meta), os.path.join(args.out, META_FILE))
+    dataio.write_kv(dataio.fields_to_kv(cfg) + [
+        ("tau", repr(pseudo.tau)), ("params_checksum", history.params_checksum)],
+        os.path.join(args.out, RUN_FILE))
     if not args.quiet:
         print(f"trained {cfg.epochs} epochs; checkpoint in {args.out}")
     return 0
@@ -72,17 +63,26 @@ def cmd_train(args):
 
 def cmd_eval(args):
     params = load_checkpoint(args.checkpoint)
+    # the run record beside the checkpoint: every TrainConfig field, tau and
+    # params_checksum, each required
+    record = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), RUN_FILE)
+    values = dict(dataio.read_kv(record))
+    keys = {f.name for f in fields(trainer.TrainConfig)} | {"tau", "params_checksum"}
+    if values.keys() != keys:
+        raise FormatError(f"{record}: missing key(s) {sorted(keys - values.keys())}, "
+                          f"unknown key(s) {sorted(values.keys() - keys)}")
+    try:
+        cfg = trainer.TrainConfig(**dataio.fields_from_kv(values, trainer.TrainConfig))
+        tau = dataio.parse_field("tau", float, values["tau"])
+    except ValueError as err:
+        raise FormatError(f"{record}: {err}") from None
+    if values["params_checksum"] != trainer.params_checksum(params):
+        raise FormatError(f"{record}: params_checksum differs from that of "
+                          f"{args.checkpoint}")
     target = dataio.load_target(args.data, with_eval=True)
-    meta_path = args.meta or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
-                                          META_FILE)
-    # an explicit --meta must exist; the checkpoint directory's may be absent
-    meta = (dataio.read_dataclass(meta_path, TrainMeta)
-            if args.meta or os.path.exists(meta_path) else TrainMeta())
-    if args.seed is not None:  # --seed wins over the meta file's seed
-        meta = replace(meta, seed=args.seed)
-    report = evaluation.compute_report(params, target, tau=meta.tau,
-                                       epochs=meta.epochs, seed=meta.seed,
-                                       use_fusion=meta.use_fusion)
+    report = evaluation.compute_report(
+        params, target, tau=tau, epochs=cfg.epochs, use_fusion=cfg.use_fusion,
+        seed=cfg.seed if args.seed is None else args.seed)  # --seed wins
     evaluation.save_report(report, args.out)
     if not args.quiet:
         print(f"wrote report to {args.out}")
@@ -128,11 +128,10 @@ def build_parser():
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--checkpoint", required=True,
+                   help=f"checkpoint; scored as the {RUN_FILE} beside it says")
     p.add_argument("--data", required=True, help="dataset directory with eval files")
     p.add_argument("--out", required=True, help="report file to write")
-    p.add_argument("--meta", default=None, help="train_meta.txt (defaults to "
-                   "the checkpoint's directory)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("report", help="pretty-print a report file")

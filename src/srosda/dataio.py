@@ -5,7 +5,9 @@ Formats (all little-endian; every text file is UTF-8 with ``\n`` newlines):
     float32, row-major;
   * labels file: one decimal integer per line;
   * attribute CSV: ``class_id,bit,bit,...`` with 0/1 bits, dense ids;
-  * ``key = value`` lines: reports, configs, specs and ``train_meta.txt``;
+  * ``key = value`` lines: reports, configs, specs and the run record
+    ``run.txt`` (``cli``: every ``TrainConfig`` field, ``tau``,
+    ``params_checksum``);
   * checkpoint (``model``): magic ``SROSCKPT``, u32 version=1, u32 layer
     count, then per layer u8 rank, u64 dims and float64 values, row-major;
   * history CSV (``trainer``): ``epoch,l_c,l_d,l_r_s,l_r_t,l_a,total``;
@@ -36,9 +38,20 @@ FEATURE_MAGIC = b"SROS"
 FEATURE_VERSION = 1
 
 
+def check_matrix(a, what):
+    """``check_finite(a, what)``, a float64 array; DataError unless 2-D."""
+    arr = check_finite(a, what)
+    if arr.ndim != 2:
+        raise DataError(f"{what} must be a 2-D array, got shape {arr.shape}")
+    return arr
+
+
 def _check_annotations(labels, table, what, k_name):
     """DataError unless ``labels`` is a 1-D integer array each of whose
-    entries indexes a row of the 0/1 ``table``."""
+    entries indexes a row of the 2-D 0/1 ``table``."""
+    if table.ndim != 2:
+        raise DataError(f"{what} attribute table must be a 2-D array, got "
+                        f"shape {table.shape}")
     if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
         raise DataError(f"{what} labels must be a 1-D integer array, got "
                         f"{labels.dtype} of shape {labels.shape}")
@@ -56,7 +69,7 @@ class SourceDataset:
     attr_table_seen: np.ndarray  # k_s x d_a, 0/1
 
     def __post_init__(self):
-        check_finite(self.features, "source features")
+        check_matrix(self.features, "source features")
         _check_annotations(self.labels, self.attr_table_seen, "source", "k_s")
         if self.labels.shape[0] != self.features.shape[0]:
             raise DataError("source labels / features length mismatch")
@@ -91,7 +104,7 @@ class TargetDataset:
     eval_data: Optional[TargetEval] = None
 
     def __post_init__(self):
-        check_finite(self.features, "target features")
+        check_matrix(self.features, "target features")
         if (self.eval_data is not None
                 and self.eval_data.labels.shape[0] != self.features.shape[0]):
             raise DataError("target eval labels / features length mismatch")
@@ -511,10 +524,20 @@ def fields_to_kv(obj):
             for f in fields(obj) if f.type in _FIELD_FORMATS]
 
 
+def parse_field(name, kind, text):
+    """``text`` parsed as a value of field type ``kind`` (int, float or bool);
+    a ValueError names ``name`` if it is malformed."""
+    try:
+        return _FIELD_PARSERS[kind](text)
+    except ValueError:
+        raise ValueError(f"{name} = {text!r} is not a valid {kind.__name__}") from None
+
+
 def fields_from_kv(values, cls):
     """The int, float and bool fields of dataclass ``cls`` parsed from the
-    mapping ``values``; KeyError if one is missing, ValueError if malformed."""
-    return {f.name: _FIELD_PARSERS[f.type](values[f.name])
+    mapping ``values``; KeyError if one is missing, ValueError naming the
+    field if one is malformed."""
+    return {f.name: parse_field(f.name, f.type, values[f.name])
             for f in fields(cls) if f.type in _FIELD_PARSERS}
 
 
@@ -532,10 +555,9 @@ def read_dataclass(path, cls):
         if key not in types:
             raise ConfigError(f"{path}: unknown key {key!r}")
         try:
-            kwargs[key] = _FIELD_PARSERS[types[key]](value)
-        except ValueError:
-            raise ConfigError(f"{path}: {key} = {value!r} is not a valid "
-                              f"{types[key].__name__}") from None
+            kwargs[key] = parse_field(key, types[key], value)
+        except ValueError as err:
+            raise ConfigError(f"{path}: {err}") from None
     missing = [f.name for f in fields(cls) if f.name not in kwargs
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:

@@ -16,7 +16,9 @@ fixed left-to-right summation so repeated runs agree bitwise.
 
 import contextlib
 import functools
+import threading
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,6 +75,11 @@ def _blas_thread_control():
     return control
 
 
+# the one owner of the process-wide pin: ``depth`` pins are open, and
+# ``saved`` is the count the first of them found, restored by the last
+_PIN = SimpleNamespace(lock=threading.Lock(), depth=0, saved=None)
+
+
 @contextlib.contextmanager
 def single_blas_thread():
     """Run the body with BLAS on one thread, then restore the caller's count.
@@ -82,19 +89,27 @@ def single_blas_thread():
     last bits of a product depend on the thread count. Pinning makes results
     depend only on the inputs. Usable as ``with single_blas_thread():`` or as
     the decorator ``@single_blas_thread()``. The thread count is
-    process-wide: concurrent callers in other Python threads share the pin.
+    process-wide, so overlapping pins, nested or in other Python threads,
+    share one: the first to enter saves the count and sets 1, and the last to
+    exit restores the saved count.
     """
     control = _blas_thread_control()
     if control is None:
         yield
         return
     get, set_ = control
-    before = get()
-    set_(1)
+    with _PIN.lock:
+        if _PIN.depth == 0:
+            _PIN.saved = get()
+            set_(1)
+        _PIN.depth += 1
     try:
         yield
     finally:
-        set_(before)
+        with _PIN.lock:
+            _PIN.depth -= 1
+            if _PIN.depth == 0:
+                set_(_PIN.saved)
 
 
 def check_finite(a, name="input"):

@@ -18,12 +18,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .dataio import (SourceDataset, check_field_types, read_dataclass,
-                     write_file)
+from .dataio import (SourceDataset, check_field_types, check_matrix,
+                     read_dataclass, write_file)
 from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params
-from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, check_finite,
-                        make_rng, single_blas_thread)
+from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, make_rng,
+                        single_blas_thread)
 from .objective import (BatchLossReport, TrainBatch, ZPrototypes,
                         compute_z_prototypes, objective_grads, total_objective)
 from .separation import PseudoState, run_progressive_separation
@@ -158,7 +158,8 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
     return state, rz, pseudo_attrs
 
 
-def _params_checksum(params: ModelParams):
+def params_checksum(params: ModelParams):
+    """sha256 hex digest of the layer names and bytes, in name order."""
     h = hashlib.sha256()
     for name in sorted(params.arrays):
         h.update(name.encode())
@@ -173,11 +174,11 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
     returns (params, history, pseudo_state).
 
     ``on_epoch(epoch, report)`` is an optional progress callback. The target
-    features are checked for finiteness on entry, so a non-finite value met
-    later means the optimization diverged: that, and final parameters that
-    are not finite, raise TrainingError.
+    features are checked to be a finite 2-D array on entry, so a non-finite
+    value met later means the optimization diverged: that, and final
+    parameters that are not finite, raise TrainingError.
     """
-    target_features = check_finite(target_features, "target features")
+    target_features = check_matrix(target_features, "target features")
     cfg.validate(n_target=target_features.shape[0])
     params = init_params(source.features.shape[1], source.d_a, source.k_s,
                          seed=cfg.seed)
@@ -227,7 +228,7 @@ def train(cfg: TrainConfig, source: SourceDataset, target_features,
     for name, arr in params.arrays.items():
         if not np.all(np.isfinite(arr)):
             raise TrainingError(f"training diverged: final {name} is not finite")
-    history.params_checksum = _params_checksum(params)
+    history.params_checksum = params_checksum(params)
     return params, history, pseudo
 
 

@@ -1,6 +1,7 @@
 import os
 import shutil
 import stat
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from srosda import dataio, evaluation
 from srosda.cli import cli_main
 from srosda.model import load_checkpoint, save_checkpoint
+from srosda.trainer import TrainConfig, params_checksum
 
 
 def write_spec(path, **overrides):
@@ -63,10 +65,13 @@ def test_train_outputs(workspace):
     pseudo = (out / "pseudo.tsv").read_text().strip().splitlines()
     assert pseudo[0] == "sample_id\tpseudo_label\tconfidence\tseen_flag"
     assert len(pseudo) == 31
-    meta = dict(dataio.read_kv(out / "train_meta.txt"))
-    assert set(meta) == {"tau", "epochs", "seed", "use_fusion"}
-    assert meta["use_fusion"] == "true"
-    assert meta["epochs"] == "2"
+    record = dataio.read_kv(out / "run.txt")
+    assert [key for key, _ in record] == (
+        [f.name for f in fields(TrainConfig)] + ["tau", "params_checksum"])
+    record = dict(record)
+    assert record["use_fusion"] == "true"
+    assert record["epochs"] == "2" and record["seed"] == "3"
+    assert record["params_checksum"] == params_checksum(params)
 
 
 def test_run_files_share_the_umask_mode(workspace, tmp_path):
@@ -95,7 +100,7 @@ def test_eval_report_contents(workspace):
     report = evaluation.load_report(report_path)
     assert report.confusion.shape == (5, 4)
     assert report.epochs == 2 and report.seed == 3
-    meta = dict(dataio.read_kv(out / "train_meta.txt"))
+    meta = dict(dataio.read_kv(out / "run.txt"))
     assert report.tau == float(meta["tau"])
 
 
@@ -125,7 +130,7 @@ def test_eval_seed_overrides_meta(workspace, tmp_path):
                      str(out / "checkpoint.bin"), "--data", str(data),
                      "--out", str(report_path)]) == 0
     report = evaluation.load_report(report_path)
-    meta = dict(dataio.read_kv(out / "train_meta.txt"))
+    meta = dict(dataio.read_kv(out / "run.txt"))
     assert meta["seed"] == "3"
     assert report.seed == 5
     assert report.epochs == 2 and report.tau == float(meta["tau"])
@@ -149,7 +154,7 @@ def test_eval_scores_without_fusion_when_trained_without(workspace, tmp_path):
     out = tmp_path / "run"
     assert cli_main(["--quiet", "train", "--config", str(cfg),
                      "--data", str(data), "--out", str(out)]) == 0
-    meta = dict(dataio.read_kv(out / "train_meta.txt"))
+    meta = dict(dataio.read_kv(out / "run.txt"))
     assert meta["use_fusion"] == "false"
     report_path = tmp_path / "report.txt"
     assert cli_main(["--quiet", "eval", "--checkpoint",
@@ -157,19 +162,6 @@ def test_eval_scores_without_fusion_when_trained_without(workspace, tmp_path):
                      "--out", str(report_path)]) == 0
     assert report_path.read_bytes() == _scored_bytes(tmp_path, out, data,
                                                      meta, False)
-
-
-def test_eval_meta_without_fusion_key_scores_fused(workspace, tmp_path):
-    _, data, out, _ = workspace
-    meta = dict(dataio.read_kv(out / "train_meta.txt"))
-    old_meta = tmp_path / "meta.txt"
-    dataio.write_kv([(k, meta[k]) for k in ("tau", "epochs", "seed")], old_meta)
-    report_path = tmp_path / "report.txt"
-    assert cli_main(["--quiet", "eval", "--checkpoint",
-                     str(out / "checkpoint.bin"), "--data", str(data),
-                     "--out", str(report_path), "--meta", str(old_meta)]) == 0
-    assert report_path.read_bytes() == _scored_bytes(tmp_path, out, data,
-                                                     meta, True)
 
 
 def test_cli_error_exit_codes(tmp_path, capsys):
@@ -199,42 +191,74 @@ def test_eval_truncated_checkpoint_exit(workspace, tmp_path, capsys):
     assert err.startswith("error:") and "layer count" in err
 
 
-def test_eval_malformed_meta_exit(workspace, tmp_path, capsys):
-    _, data, out, _ = workspace
-    meta = tmp_path / "meta.txt"
-    meta.write_text("tau = 0.5\nepochs = two\nseed = 3\n")
-    assert cli_main(["--quiet", "eval", "--checkpoint",
-                     str(out / "checkpoint.bin"), "--data", str(data),
-                     "--out", str(tmp_path / "r.txt"),
-                     "--meta", str(meta)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "epochs" in err
-
-
-def test_eval_missing_explicit_meta_exit(workspace, tmp_path, capsys):
-    # only the implicit meta file, in the checkpoint's directory, may be absent
-    _, data, out, _ = workspace
-    report_path = tmp_path / "r.txt"
-    assert cli_main(["--quiet", "eval", "--checkpoint",
-                     str(out / "checkpoint.bin"), "--data", str(data),
-                     "--out", str(report_path),
-                     "--meta", str(out / "NO_SUCH_FILE.txt")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "NO_SUCH_FILE.txt" in err
-    assert not report_path.exists()
-
-
-def test_eval_without_meta_file_uses_defaults(workspace, tmp_path):
-    _, data, out, _ = workspace
-    run = tmp_path / "run"
+def copy_run(out, run, record=None):
+    """``out``'s checkpoint in the new directory ``run``, beside a copy of
+    ``record`` (``None``: no run record); returns the checkpoint path."""
     run.mkdir()
     shutil.copy(out / "checkpoint.bin", run / "checkpoint.bin")
-    report_path = tmp_path / "r.txt"
-    assert cli_main(["--quiet", "eval", "--checkpoint",
-                     str(run / "checkpoint.bin"), "--data", str(data),
-                     "--out", str(report_path)]) == 0
-    report = evaluation.load_report(report_path)
-    assert np.isnan(report.tau) and report.epochs == 0 and report.seed == 0
+    if record is not None:
+        shutil.copy(record, run / "run.txt")
+    return run / "checkpoint.bin"
+
+
+def eval_error(checkpoint, data, report_path, capsys):
+    """stderr of an ``eval`` that must exit 1 and write no report."""
+    assert cli_main(["--quiet", "eval", "--checkpoint", str(checkpoint),
+                     "--data", str(data), "--out", str(report_path)]) == 1
+    assert not report_path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    return err
+
+
+def test_eval_malformed_meta_exit(workspace, tmp_path, capsys):
+    _, data, out, _ = workspace
+    lines = (out / "run.txt").read_text().splitlines()
+    for key, bad in [("epochs", "two"), ("tau", "half")]:
+        record = tmp_path / f"{key}.txt"
+        record.write_text("".join(
+            f"{key} = {bad}\n" if line.startswith(f"{key} =") else f"{line}\n"
+            for line in lines))
+        ckpt = copy_run(out, tmp_path / key, record)
+        err = eval_error(ckpt, data, tmp_path / "r.txt", capsys)
+        assert f"{key} = '{bad}'" in err
+
+
+@pytest.mark.parametrize("key", ["seed", "tau", "params_checksum"])
+def test_eval_run_record_missing_or_unknown_key_exit(workspace, tmp_path, key,
+                                                     capsys):
+    _, data, out, _ = workspace
+    lines = (out / "run.txt").read_text().splitlines(keepends=True)
+    missing, unknown = tmp_path / "missing.txt", tmp_path / "unknown.txt"
+    missing.write_text("".join(line for line in lines
+                               if not line.startswith(f"{key} =")))
+    unknown.write_text("".join(lines) + f"{key}_extra = 1\n")
+    err = eval_error(copy_run(out, tmp_path / "a", missing), data,
+                     tmp_path / "r.txt", capsys)
+    assert f"missing key(s) ['{key}']" in err
+    err = eval_error(copy_run(out, tmp_path / "b", unknown), data,
+                     tmp_path / "r.txt", capsys)
+    assert f"unknown key(s) ['{key}_extra']" in err
+
+
+def test_eval_checkpoint_alone_exit(workspace, tmp_path, capsys):
+    _, data, out, _ = workspace
+    ckpt = copy_run(out, tmp_path / "run")
+    err = eval_error(ckpt, data, tmp_path / "r.txt", capsys)
+    assert "run.txt" in err
+
+
+def test_eval_record_of_another_run_exit(workspace, tmp_path, capsys):
+    # run B's checkpoint beside run A's record, as a train that failed after
+    # writing its checkpoint leaves them
+    root, data, out, _ = workspace
+    run_b = tmp_path / "run_b"
+    assert cli_main(["--quiet", "--seed", "11", "train",
+                     "--config", str(root / "config.txt"),
+                     "--data", str(data), "--out", str(run_b)]) == 0
+    shutil.copy(out / "run.txt", run_b / "run.txt")
+    err = eval_error(run_b / "checkpoint.bin", data, tmp_path / "r.txt", capsys)
+    assert "params_checksum" in err
 
 
 def test_synth_infeasible_spec_exit(tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srosda import dataio
-from srosda.cli import TrainMeta
 from srosda.dataio import (SourceDataset, SynthSpec, TargetDataset, TargetEval,
                            default_synth_spec, fields_to_kv, load_attribute_table,
                            load_features, load_labels, load_source, load_target,
@@ -21,7 +20,7 @@ from srosda.model import init_params, save_checkpoint
 from srosda.numkernel import make_rng
 from srosda.objective import BatchLossReport
 from srosda.separation import PseudoState, dump_pseudo_state
-from srosda.trainer import TrainHistory, save_history
+from srosda.trainer import TrainConfig, TrainHistory, save_history
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +78,22 @@ def test_dataset_labels_must_be_1d_integers(labels):
                       attr_table_seen=table)
     with pytest.raises(DataError, match="eval labels must be a 1-D integer"):
         TargetEval(labels=labels, attr_table_full=table)
+
+
+@pytest.mark.parametrize("shape", [(8,), (2, 4, 1)], ids=["1-D", "3-D"])
+def test_datasets_refuse_non_2d_arrays(shape):
+    bad = np.zeros(shape)
+    labels = np.zeros(shape[0], dtype=np.int64)
+    table = np.array([[0, 1], [1, 0]])
+    with pytest.raises(DataError, match="source features must be a 2-D"):
+        SourceDataset(features=bad, labels=labels, attr_table_seen=table)
+    with pytest.raises(DataError, match="source attribute table must be a 2-D"):
+        SourceDataset(features=np.zeros((shape[0], 3)), labels=labels,
+                      attr_table_seen=bad.astype(np.int64))
+    with pytest.raises(DataError, match="eval attribute table must be a 2-D"):
+        TargetEval(labels=labels, attr_table_full=bad.astype(np.int64))
+    with pytest.raises(DataError, match="target features must be a 2-D"):
+        TargetDataset(bad)
 
 
 def test_sample_attributes():
@@ -308,7 +323,8 @@ WRITERS = {
     "labels": lambda path, v: save_labels([v, 1], path),
     "attributes": lambda path, v: save_attribute_table([[v, 1]], path),
     "report": lambda path, v: save_report(_report(float(v)), path),
-    "train_meta": lambda path, v: write_kv(fields_to_kv(TrainMeta(seed=v)), path),
+    "run_record": lambda path, v: write_kv(
+        fields_to_kv(TrainConfig(k=1, seed=v)) + [("tau", "0.5")], path),
     "checkpoint": lambda path, v: save_checkpoint(init_params(2, 2, 1, seed=v), path),
     "history": lambda path, v: save_history(
         TrainHistory(epochs=[BatchLossReport(*[1.0] * 6)] * v), path),
@@ -531,8 +547,8 @@ def test_kv_round_trip(tmp_path):
 @pytest.mark.parametrize("cls, lines", [
     (SynthSpec, "k_s = 3\nk = 2\nd_x = 8\nd_a = 8\nn_source_per_class = 4\n"
                 "n_target_per_class = 4\nd_x = 16\n"),
-    (TrainMeta, "tau = 0.5\nseed = 3\ntau = 0.25\n"),
-], ids=["spec", "train_meta"])
+    (TrainConfig, "k = 3\nseed = 3\nk = 2\n"),
+], ids=["spec", "train_config"])
 def test_read_dataclass_rejects_repeated_key(tmp_path, cls, lines):
     path = tmp_path / "kv.txt"
     path.write_text(lines)

@@ -4,6 +4,12 @@ A run is meant to be fully determined by (data, config, seed); a function
 that rebinds a module-level name keeps state from one call to the next,
 hidden from both. Each module of ``src/srosda`` is parsed with ``ast``, and
 the only ``global`` statement allowed is the one slot in ``model.forward_gz``.
+
+State kept in a module-level object and changed in place, with no
+``global``, is not found by this scan. There is one such object:
+``numkernel._PIN``, the owner of the process-wide BLAS thread pin. It holds a
+lock, the number of open pins and the caller's thread count, which the last
+pin to exit restores, so it carries nothing from one run to the next.
 """
 
 import ast

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -213,6 +215,74 @@ def test_single_blas_thread_pins_and_restores(two_blas_threads):
             assert get() == 1
             raise ValueError("inside the pin")
     assert get() == 2
+
+
+def overlap_pins(get):
+    """Run two pins in two threads in the order "A enters, B enters, A
+    exits, B exits", each over a tiny product; returns the thread count B
+    sees after A's exit."""
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with single_blas_thread():
+            np.ones((3, 4)) @ np.ones((4, 2))
+            a_in.set()
+            assert b_in.wait(timeout=30)
+        a_out.set()
+
+    def b():
+        assert a_in.wait(timeout=30)
+        with single_blas_thread():
+            b_in.set()
+            assert a_out.wait(timeout=30)
+            np.ones((3, 4)) @ np.ones((4, 2))
+            seen.append(get())
+
+    threads = [threading.Thread(target=a), threading.Thread(target=b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert len(seen) == 1, "a pinning thread failed or hung"
+    return seen[0]
+
+
+def test_single_blas_thread_pin_outlives_an_overlapping_exit(two_blas_threads):
+    assert overlap_pins(two_blas_threads) == 1
+
+
+def test_single_blas_thread_overlapping_pins_restore_the_caller(two_blas_threads):
+    get = two_blas_threads
+    overlap_pins(get)
+    assert get() == 2
+
+
+def test_single_blas_thread_pin_holds_under_thread_churn(two_blas_threads):
+    # more threads than cores, switching often: a lost update of the pin's
+    # depth or saved count shows as 2 threads inside a pin, or a wrong count
+    # after the last exit
+    get = two_blas_threads
+    counts = []
+
+    def churn():
+        for _ in range(200):
+            with single_blas_thread():
+                counts.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(counts) == 8 * 200 and set(counts) == {1}
+    assert get() == 2 and numkernel._PIN.depth == 0
 
 
 def test_single_blas_thread_without_control_warns_once(monkeypatch):

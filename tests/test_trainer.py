@@ -219,6 +219,13 @@ def test_train_rejects_non_finite_inputs():
         train(small_cfg(epochs=1), src, features)
 
 
+@pytest.mark.parametrize("shape", [(8,), (2, 4, 1)], ids=["1-D", "3-D"])
+def test_train_rejects_non_2d_target(shape):
+    src, _ = FUZZ_DATA
+    with pytest.raises(DataError, match="target features must be a 2-D"):
+        train(small_cfg(epochs=1), src, np.zeros(shape))
+
+
 def test_make_batches_partition():
     rng = make_rng(0)
     batches = make_batches(20, 30, 8, rng)
