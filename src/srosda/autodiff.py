@@ -263,8 +263,8 @@ def transpose(a):
 def sigmoid(a):
     a = ensure(a)
     x = a.value
-    s = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def back(g):
         _acc(a, g * s * (1.0 - s))
@@ -390,8 +390,9 @@ def softmax_cross_entropy(logits, labels):
         raise ContractError("softmax_cross_entropy expects (n, c) logits and n labels")
     if labels.size and (labels.min() < 0 or labels.max() >= v.shape[1]):
         raise ContractError("label out of range")
-    shifted = v - v.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + v.max(axis=1)
+    top = v.max(axis=1, keepdims=True)
+    shifted = v - top
+    lse = np.log(np.exp(shifted).sum(axis=1)) + top[:, 0]
     losses = lse - v[np.arange(v.shape[0]), labels]
 
     def back(g):

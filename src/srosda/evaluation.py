@@ -1,7 +1,8 @@
 """Evaluation protocols: open-set recognition (OS / OS* / OS-diamond),
 two-stage semantic recovery (S / U / H) and per-sample attribute
-precision/recall. All accuracies are averaged over the classes with eval
-samples; evaluation is read-only over the model and uses raw attribute
+precision/recall, averaged over the classes with eval samples.
+``compute_report`` alone reads the ``TargetDataset``; the metric functions
+score arrays. Evaluation is read-only over the model and uses raw attribute
 predictions (no batch propagation).
 """
 
@@ -50,38 +51,23 @@ def harmonic_mean(s, u):
     return 2.0 * s * u / (s + u)
 
 
-def joint_features(params: ModelParams, features, use_fusion=True):
-    """(f, a_hat): G_A's raw attribute prediction a_hat for each row and the
-    joint feature f = z (+) a_hat from ``tape_joint``, whose attribute part is
-    zero without fusion; DataError if f is not finite. ``compute_report``
-    runs it once for all three metrics."""
-    z = forward_gz(params, features)
+def joint_features(params: ModelParams, z, use_fusion=True):
+    """(f, a_hat): G_A's raw attribute prediction a_hat for each row of the
+    G_Z embedding ``z`` and the joint feature f = z (+) a_hat from
+    ``tape_joint``, whose attribute part is zero without fusion; DataError if
+    f is not finite."""
     a_hat = tape_forward_ga(params.arrays, z).value
     f = check_finite(tape_joint(z, a_hat, use_fusion).value, "joint features")
     return f, a_hat
 
 
-def _eval_annotations(params: ModelParams, target: TargetDataset):
-    """(labels, full attribute table) of ``target``'s eval data; ProtocolError
-    without it, or if the table lacks an unseen class beyond the k_s seen."""
-    if target.eval_data is None:
-        raise ProtocolError("evaluation requires target eval labels")
-    table = target.eval_data.attr_table_full
-    if table.shape[0] <= params.k_s:
-        raise ProtocolError(f"the eval attribute table has {table.shape[0]} "
-                            f"classes, not more than the model's {params.k_s}")
-    return target.eval_data.labels, table
-
-
-def eval_openset(params: ModelParams, target: TargetDataset, f):
+def eval_openset(params: ModelParams, f, labels, k_t):
     """The argmax of C's logits (``tape_forward_c``) over the joint features
-    ``f`` (see ``joint_features``); class k_s is 'unknown'. Returns (os,
-    os_star, os_diamond, confusion) where the confusion matrix resolves all
-    k_t true classes against k_s+1 predictions.
-    """
-    labels, table = _eval_annotations(params, target)
+    ``f`` (see ``joint_features``) against the true ``labels`` in [0, k_t);
+    class k_s is 'unknown'. Returns (os, os_star, os_diamond, confusion)
+    where the confusion matrix resolves all k_t true classes against k_s+1
+    predictions."""
     k_s = params.k_s
-    k_t = table.shape[0]
     pred = np.argmax(tape_forward_c(params.arrays, f).value, axis=1)
 
     confusion = np.zeros((k_t, k_s + 1), dtype=np.int64)
@@ -95,14 +81,13 @@ def eval_openset(params: ModelParams, target: TargetDataset, f):
     return os_val, os_star, os_diamond, confusion
 
 
-def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
+def eval_semantic(params: ModelParams, f, a_hat, labels, table):
     """Two-stage semantic recovery: D routes each joint feature in ``f`` to
-    the unseen attribute rows where the argmax of its logits
-    (``tape_forward_d_logits``) is 1, else to the seen rows; then the raw
-    attribute prediction ``a_hat`` is classified prototypically (cosine)
-    against the routed rows. Returns (s, u, h)."""
-    labels, table = _eval_annotations(params, target)
-    table = table.astype(np.float64)
+    the unseen rows of the full attribute ``table`` where the argmax of its
+    logits (``tape_forward_d_logits``) is 1, else to the seen rows; then the
+    raw attribute prediction ``a_hat`` is classified prototypically (cosine)
+    against the routed rows and scored against the true ``labels``. Returns
+    (s, u, h)."""
     k_s = params.k_s
     k_t = table.shape[0]
     says_unseen = np.argmax(tape_forward_d_logits(params.arrays, f).value,
@@ -125,19 +110,17 @@ def eval_semantic(params: ModelParams, target: TargetDataset, f, a_hat):
     return s, u, harmonic_mean(s, u)
 
 
-def attribute_pr_all(target: TargetDataset, a_hat):
+def attribute_pr_all(a_hat, a_true):
     """Per-sample precision/recall of each row of ``a_hat``, thresholded at
-    ATTR_THRESHOLD (inclusive), against its class's row of the full attribute
-    table, as a list of (precision, recall) pairs.
+    ATTR_THRESHOLD (inclusive), against the same row of the 0/1 ``a_true``,
+    as a list of (precision, recall) pairs; ContractError unless the two
+    have one shape.
 
     Vacuous cases: no predicted and no true positives -> precision 1.0; no
     predicted positives but true positives exist -> precision 0.0; no true
     positives -> recall 1.0.
     """
-    if target.eval_data is None:
-        raise ProtocolError("attribute evaluation requires target eval data")
     a_hat = np.asarray(a_hat, dtype=np.float64)
-    a_true = target.eval_data.attr_table_full[target.eval_data.labels]
     if a_hat.shape != a_true.shape:
         raise ContractError("attribute_pr_all dimension mismatch")
     pred = a_hat >= ATTR_THRESHOLD
@@ -157,14 +140,28 @@ def attribute_pr_all(target: TargetDataset, a_hat):
 def compute_report(params: ModelParams, target: TargetDataset, tau, epochs,
                    seed, use_fusion=True) -> MetricsReport:
     """Open-set, semantic and attribute metrics of ``params`` on ``target``,
-    with BLAS pinned to one thread (see ``single_blas_thread``)."""
-    f, a_hat = joint_features(params, target.features, use_fusion)
-    os_val, os_star, os_diamond, confusion = eval_openset(params, target, f)
-    s, u, h = eval_semantic(params, target, f, a_hat)
+    fused unless ``use_fusion`` is False, with BLAS pinned to one thread (see
+    ``single_blas_thread``). Before it embeds a row it raises ProtocolError
+    unless ``target`` has eval data whose attribute table has more rows than
+    the model's k_s and as many columns as its d_a."""
+    if target.eval_data is None:
+        raise ProtocolError("evaluation requires target eval labels")
+    labels, table = target.eval_data.labels, target.eval_data.attr_table_full
+    k_t, width = table.shape
+    if k_t <= params.k_s:
+        raise ProtocolError(f"the eval attribute table has {k_t} classes, not "
+                            f"more than the model's {params.k_s}")
+    if width != params.d_a:
+        raise ProtocolError(f"the eval attribute table has {width} columns, "
+                            f"not the model's d_a = {params.d_a}")
+    z = forward_gz(params, target.features)
+    f, a_hat = joint_features(params, z, use_fusion)
+    os_val, os_star, os_diamond, confusion = eval_openset(params, f, labels, k_t)
+    s, u, h = eval_semantic(params, f, a_hat, labels, table)
     return MetricsReport(os=os_val, os_star=os_star, os_diamond=os_diamond,
                          s=s, u=u, h=h, confusion=confusion, tau=float(tau),
                          epochs=int(epochs), seed=int(seed),
-                         attr_pr=attribute_pr_all(target, a_hat))
+                         attr_pr=attribute_pr_all(a_hat, table[labels]))
 
 
 # ---------------------------------------------------------------------------

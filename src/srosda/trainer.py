@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataio import (SourceDataset, check_field_types, check_matrix,
                      read_dataclass, write_file)
-from .exceptions import ConfigError, DataError, TrainingError
+from .exceptions import ConfigError, ContractError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params
 from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, make_rng,
                         single_blas_thread)
@@ -131,7 +131,9 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
                    keep=True) -> Tuple[PseudoState, ZPrototypes, np.ndarray]:
     """Re-run the separation procedure and derived state.
 
-    ``space="x"`` separates on raw features (epoch-0 initialization);
+    ``space="x"`` separates on raw features (epoch-0 initialization), which
+    must be a finite 2-D array (DataError) as wide as the source's
+    (ContractError), as ``forward_gz`` checks them for ``space="z"``;
     ``space="z"`` separates on current G_Z embeddings. Returns the pseudo
     state, the full-set z-prototypes and the per-target pseudo attributes
     (rows of the source attribute table for seen targets, zeros otherwise).
@@ -141,7 +143,10 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
     """
     if space == "x":
         src_feats = source.features
-        tgt_feats = np.asarray(target_features, dtype=np.float64)
+        tgt_feats = check_matrix(target_features, "target features")
+        if tgt_feats.shape[1] != src_feats.shape[1]:
+            raise ContractError(f"target features must be (n, {src_feats.shape[1]}), "
+                                f"got {tgt_feats.shape}")
     elif space == "z":
         src_feats = forward_gz(params, source.features)
         tgt_feats = forward_gz(params, target_features, keep=keep)

@@ -362,6 +362,22 @@ def test_eval_fewer_classes_than_model_exit(workspace, tmp_path, capsys):
     assert not report_path.exists()
 
 
+def test_eval_table_narrower_than_checkpoint_exit(workspace, tmp_path, capsys):
+    # the d_a = 8 checkpoint on a 6-column eval table
+    _, data, out, _ = workspace
+    copy = tmp_path / "data"
+    shutil.copytree(data, copy)
+    table = dataio.load_attribute_table(copy / dataio.EVAL_ATTRS)
+    dataio.save_attribute_table(table[:, :6], copy / dataio.EVAL_ATTRS)
+    report_path = tmp_path / "r.txt"
+    assert cli_main(["--quiet", "eval", "--checkpoint",
+                     str(out / "checkpoint.bin"), "--data", str(copy),
+                     "--out", str(report_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "6 columns" in err and "d_a = 8" in err
+    assert not report_path.exists()
+
+
 def test_eval_non_finite_checkpoint_exit(workspace, tmp_path, capsys):
     _, data, out, _ = workspace
     params = load_checkpoint(out / "checkpoint.bin")

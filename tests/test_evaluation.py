@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import copy_params
+from srosda import evaluation
 from srosda.dataio import (SynthSpec, TargetDataset, TargetEval, read_kv,
                            synth_generate)
 from srosda.evaluation import (MetricsReport, attribute_pr_all, compute_report,
@@ -53,10 +54,8 @@ def attribute_pr_row(a_hat, a_true):
 
 def pr_one(a_hat, a_true):
     """``attribute_pr_all`` of a single sample whose class row is ``a_true``."""
-    target = TargetDataset(features=np.zeros((1, 1)),
-                           eval_data=TargetEval(labels=np.array([0]),
-                                                attr_table_full=np.array([a_true])))
-    (pair,) = attribute_pr_all(target, np.array([a_hat], dtype=np.float64))
+    (pair,) = attribute_pr_all(np.array([a_hat], dtype=np.float64),
+                               np.array([a_true]))
     return pair
 
 
@@ -81,9 +80,10 @@ def test_attribute_pr_vacuous_cases():
 
 @st.composite
 def attribute_problems(draw):
-    """(target, a_hat): a 0/1 table whose last row is all zeros (a class
-    with no true attributes), labels that use it, and predictions on a
-    grid that hits the threshold exactly, with an all-negative row."""
+    """(a_hat, a_true): the rows of a 0/1 table whose last row is all zeros
+    (a class with no true attributes) for labels that use it, and
+    predictions on a grid that hits the threshold exactly, with an
+    all-negative row."""
     n = draw(st.integers(1, 12))
     d_a = draw(st.integers(1, 6))
     k_t = draw(st.integers(1, 4))
@@ -94,33 +94,23 @@ def attribute_problems(draw):
     grid = st.sampled_from([0.0, 0.25, 0.4999999999999999, 0.5, 0.75, 1.0])
     a_hat = draw(hnp.arrays(np.float64, (n, d_a), elements=grid))
     a_hat = np.vstack([a_hat, np.zeros((1, d_a))])
-    target = TargetDataset(features=np.zeros((n + 1, 1)),
-                           eval_data=TargetEval(labels=labels,
-                                                attr_table_full=table))
-    return target, a_hat
+    return a_hat, table[labels]
 
 
 @given(attribute_problems())
 @settings(max_examples=200, deadline=None)
 def test_attribute_pr_all_matches_per_row(problem):
-    target, a_hat = problem
-    table, labels = target.eval_data.attr_table_full, target.eval_data.labels
-    want = [attribute_pr_row(a_hat[i], table[labels[i]])
-            for i in range(a_hat.shape[0])]
-    got = attribute_pr_all(target, a_hat)
+    a_hat, a_true = problem
+    want = [attribute_pr_row(a_hat[i], a_true[i]) for i in range(a_hat.shape[0])]
+    got = attribute_pr_all(a_hat, a_true)
     assert got == want
     assert all(type(v) is float for pair in got for v in pair)
 
 
 def test_attribute_pr_all_contracts():
-    target = TargetDataset(features=np.zeros((2, 1)),
-                           eval_data=TargetEval(labels=np.array([0, 1]),
-                                                attr_table_full=np.eye(2)))
-    assert attribute_pr_all(target, np.eye(2)) == [(1.0, 1.0), (1.0, 1.0)]
+    assert attribute_pr_all(np.eye(2), np.eye(2)) == [(1.0, 1.0), (1.0, 1.0)]
     with pytest.raises(ContractError):
-        attribute_pr_all(target, np.zeros((2, 3)))
-    with pytest.raises(ProtocolError):
-        attribute_pr_all(TargetDataset(features=np.zeros((2, 1))), np.eye(2))
+        attribute_pr_all(np.zeros((2, 3)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +125,17 @@ def fixture():
     return params, tgt
 
 
+def embedded(params, features, use_fusion=True):
+    """``joint_features`` of the G_Z embedding of ``features``, as
+    ``compute_report`` runs it."""
+    return joint_features(params, forward_gz(params, features), use_fusion)
+
+
 def test_eval_openset_identity_and_confusion(fixture):
     params, tgt = fixture
-    f, _ = joint_features(params, tgt.features)
-    os_val, os_star, os_diamond, confusion = eval_openset(params, tgt, f)
+    f, _ = embedded(params, tgt.features)
+    os_val, os_star, os_diamond, confusion = eval_openset(
+        params, f, tgt.eval_data.labels, 5)
     k_s = 3
     assert confusion.shape == (5, 4)
     assert confusion.sum() == tgt.features.shape[0]
@@ -155,46 +152,44 @@ def test_eval_openset_identity_and_confusion(fixture):
 def test_class_without_samples_is_left_out_of_every_average(fixture):
     params, tgt = fixture
     keep = tgt.eval_data.labels != 1  # seen class 1 has no eval samples
-    part = TargetDataset(features=tgt.features[keep],
-                         eval_data=TargetEval(labels=tgt.eval_data.labels[keep],
-                                              attr_table_full=tgt.eval_data.attr_table_full))
-    f, _ = joint_features(params, part.features)
-    os_val, os_star, os_diamond, confusion = eval_openset(params, part, f)
+    f, _ = embedded(params, tgt.features[keep])
+    os_val, os_star, os_diamond, confusion = eval_openset(
+        params, f, tgt.eval_data.labels[keep], 5)
     assert confusion[1].sum() == 0
     assert os_star == np.mean([confusion[c, c] / confusion[c].sum() for c in (0, 2)])
     assert os_val == pytest.approx((3 * os_star + os_diamond) / 4, abs=1e-15)
 
 
-def test_eval_semantic_bounds_and_requirements(fixture):
+def test_eval_semantic_bounds(fixture):
     params, tgt = fixture
-    f, a_hat = joint_features(params, tgt.features)
-    s, u, h = eval_semantic(params, tgt, f, a_hat)
+    f, a_hat = embedded(params, tgt.features)
+    s, u, h = eval_semantic(params, f, a_hat, tgt.eval_data.labels,
+                            tgt.eval_data.attr_table_full)
     assert 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0
     assert h == pytest.approx(harmonic_mean(s, u), abs=1e-15)
-    bare = TargetDataset(features=tgt.features)
-    with pytest.raises(ProtocolError):
-        eval_semantic(params, bare, f, a_hat)
-    with pytest.raises(ProtocolError):
-        eval_openset(params, bare, f)
-    seen_only = TargetDataset(
-        features=tgt.features,
-        eval_data=TargetEval(labels=np.zeros(tgt.features.shape[0], dtype=int),
-                             attr_table_full=tgt.eval_data.attr_table_full[:3]))
-    with pytest.raises(ProtocolError):
-        eval_semantic(params, seen_only, f, a_hat)
-    with pytest.raises(ProtocolError):
-        eval_openset(params, seen_only, f)
-    # fewer eval classes than the model's k_s = 6 seen classes
-    params6 = init_params(8, 8, 6, seed=0)
-    f6, a_hat6 = joint_features(params6, tgt.features)
-    four_classes = TargetDataset(
-        features=tgt.features,
-        eval_data=TargetEval(labels=tgt.eval_data.labels % 4,
-                             attr_table_full=tgt.eval_data.attr_table_full[:4]))
-    with pytest.raises(ProtocolError, match="4 classes"):
-        eval_openset(params6, four_classes, f6)
-    with pytest.raises(ProtocolError, match="4 classes"):
-        eval_semantic(params6, four_classes, f6, a_hat6)
+
+
+@pytest.mark.parametrize("case", ["no eval data", "seen classes only",
+                                  "6 columns"])
+def test_compute_report_refuses_unusable_annotations_before_embedding(
+        fixture, monkeypatch, case):
+    params, tgt = fixture  # k_s = 3, d_a = 8
+    labels, table = tgt.eval_data.labels, tgt.eval_data.attr_table_full
+    eval_data, message = {
+        "no eval data": (None, "requires target eval labels"),
+        "seen classes only": (TargetEval(labels=labels % 3,
+                                         attr_table_full=table[:3]),
+                              "has 3 classes, not more than the model's 3"),
+        "6 columns": (TargetEval(labels=labels, attr_table_full=table[:, :6]),
+                      "has 6 columns, not the model's d_a = 8")}[case]
+
+    def no_embedding(*args, **kwargs):
+        raise AssertionError("compute_report embedded rows it cannot score")
+
+    monkeypatch.setattr(evaluation, "forward_gz", no_embedding)
+    with pytest.raises(ProtocolError, match=message):
+        compute_report(params, TargetDataset(tgt.features, eval_data),
+                       tau=0.5, epochs=1, seed=0)
 
 
 def test_compute_report_fields(fixture):
@@ -208,8 +203,8 @@ def test_compute_report_fields(fixture):
 def test_joint_features_fusion_rule(fixture):
     params, tgt = fixture
     z = forward_gz(params, tgt.features)
-    fused, a_hat = joint_features(params, tgt.features)
-    plain, plain_a_hat = joint_features(params, tgt.features, use_fusion=False)
+    fused, a_hat = joint_features(params, z)
+    plain, plain_a_hat = joint_features(params, z, use_fusion=False)
     for f in (fused, plain):
         assert f.shape == (tgt.features.shape[0], Z_DIM + params.d_a)
         assert f[:, :Z_DIM].tobytes() == z.tobytes()

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,11 +13,11 @@ from hypothesis import strategies as st
 import srosda
 from conftest import copy_params
 from srosda import model, trainer
-from srosda.dataio import (SynthSpec, TargetDataset, fields_to_kv,
-                           synth_generate, write_kv)
+from srosda.dataio import (SynthSpec, TargetDataset, default_synth_spec,
+                           fields_to_kv, synth_generate, write_kv)
 from srosda.evaluation import compute_report, save_report
-from srosda.exceptions import (ConfigError, DataError, FormatError,
-                               ProtocolError, TrainingError)
+from srosda.exceptions import (ConfigError, ContractError, DataError,
+                               FormatError, ProtocolError, TrainingError)
 from srosda.model import LAYER_NAMES, ModelParams, init_params
 from srosda.numkernel import make_rng
 from srosda.trainer import (BETA_MAX, TrainConfig, load_config, make_batches,
@@ -294,6 +296,25 @@ def test_refresh_pseudo_spaces():
         refresh_pseudo(params, src, tgt.features, cfg, space="y")
 
 
+@pytest.mark.parametrize("entry, features, error, message", [
+    ("refresh_pseudo", np.zeros(25), DataError, "must be a 2-D array"),
+    ("refresh_pseudo", np.zeros((25, 7)), ContractError,
+     r"target features must be \(n, 8\), got \(25, 7\)"),
+    ("train", np.zeros((25, 7)), ContractError,
+     r"target features must be \(n, 8\), got \(25, 7\)"),
+], ids=["1-D", "7-wide", "train-7-wide"])
+def test_x_space_refresh_checks_target_rows(entry, features, error, message):
+    # the bare array is refused before the separation runs on it
+    src, _ = synth_generate(SPEC)
+    cfg = small_cfg()
+    with pytest.raises(error, match=message):
+        if entry == "train":
+            train(cfg, src, features)
+        else:
+            refresh_pseudo(init_params(SPEC.d_x, SPEC.d_a, SPEC.k_s), src,
+                           features, cfg, space="x")
+
+
 def test_refresh_then_report_embeds_target_once(monkeypatch, tmp_path):
     src, tgt = synth_generate(SPEC)
     params = init_params(SPEC.d_x, SPEC.d_a, SPEC.k_s, seed=0)
@@ -450,3 +471,40 @@ def test_entry_points_restore_blas_threads(two_blas_threads):
         compute_report(params, TargetDataset(tgt.features), tau=0.5,
                        epochs=1, seed=0)
     assert get() == 2
+
+
+def test_overlapped_trainings_get_their_solo_checksums(two_blas_threads):
+    """The BLAS pin is shared by overlapping trainings: one that enters while
+    another is inside, and runs on after the other has left, still runs at
+    one thread throughout. Events force that order; the default spec's
+    shapes give other bits at 2 threads."""
+    src, tgt = synth_generate(default_synth_spec(seed=7))
+    short_cfg = TrainConfig(k=3, epochs=1, seed=7)
+    long_cfg = TrainConfig(k=3, epochs=2, seed=7)
+    solo = [train(cfg, src, tgt.features)[1].params_checksum
+            for cfg in (short_cfg, long_cfg)]
+    short_in, long_in, short_out = (threading.Event() for _ in range(3))
+
+    def short_run():
+        def hold(epoch, report):  # inside: stay until the long one is in
+            short_in.set()
+            assert long_in.wait(60)
+        try:
+            return train(short_cfg, src, tgt.features,
+                         on_epoch=hold)[1].params_checksum
+        finally:
+            short_out.set()
+
+    def long_run():
+        def hold(epoch, report):  # epoch 1 runs after the short one left
+            if epoch == 0:
+                long_in.set()
+                assert short_out.wait(60)
+        assert short_in.wait(60)
+        return train(long_cfg, src, tgt.features,
+                     on_epoch=hold)[1].params_checksum
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(short_run), pool.submit(long_run)]
+        assert [run.result(timeout=120) for run in runs] == solo
+    assert two_blas_threads() == 2
