@@ -300,12 +300,10 @@ def write_file(path, data):
             os.unlink(tmp)
 
 
-def _feature_file(matrix, what="features"):
-    """The chunks of a feature file holding ``matrix``; DataError if a value
-    is non-finite or overflows float32."""
-    matrix = check_finite(matrix, what)
-    if matrix.ndim != 2:
-        raise ContractError("feature matrix must be 2-D")
+def _feature_file(matrix, what):
+    """The chunks of a feature file holding ``matrix``; DataError unless it
+    is a finite 2-D array (``check_matrix``) that fits float32."""
+    matrix = check_matrix(matrix, what)
     with np.errstate(over="ignore"):
         payload = matrix.astype("<f4", order="C")  # written from its buffer
     if not np.all(np.isfinite(payload)):
@@ -313,13 +311,6 @@ def _feature_file(matrix, what="features"):
                         f"{float(np.finfo(np.float32).max):.4g})")
     return [FEATURE_MAGIC, struct.pack("<IQQ", FEATURE_VERSION, *payload.shape),
             payload]
-
-
-def save_features(matrix, path):
-    """Write a binary ``SROS`` feature file. A value that is not finite, or
-    not finite once cast to float32, raises DataError before the file is
-    opened."""
-    write_file(path, _feature_file(matrix))
 
 
 def read_struct(fh, fmt, path, field):

@@ -142,11 +142,14 @@ def compute_report(params: ModelParams, target: TargetDataset, tau, epochs,
     """Open-set, semantic and attribute metrics of ``params`` on ``target``,
     fused unless ``use_fusion`` is False, with BLAS pinned to one thread (see
     ``single_blas_thread``). Before it embeds a row it raises ProtocolError
-    unless ``target`` has eval data whose attribute table has more rows than
-    the model's k_s and as many columns as its d_a."""
+    unless ``target`` has at least one row and eval data whose attribute
+    table has more rows than the model's k_s and as many columns as its
+    d_a."""
     if target.eval_data is None:
         raise ProtocolError("evaluation requires target eval labels")
     labels, table = target.eval_data.labels, target.eval_data.attr_table_full
+    if labels.size == 0:
+        raise ProtocolError("evaluation requires at least one target row")
     k_t, width = table.shape
     if k_t <= params.k_s:
         raise ProtocolError(f"the eval attribute table has {k_t} classes, not "
@@ -181,23 +184,27 @@ def save_report(report: MetricsReport, path):
 
 
 def load_report(path) -> MetricsReport:
+    """The report ``save_report`` wrote to ``path``; FormatError if a key is
+    missing, malformed or not one it reads: the scalar fields, the
+    confusion shape and its cells, and ``attr_pr.0`` up to the first gap."""
     values = dict(read_kv(path))
     try:
-        rows = int(values["confusion.rows"])
-        cols = int(values["confusion.cols"])
+        rows = int(values.pop("confusion.rows"))
+        cols = int(values.pop("confusion.cols"))
         confusion = np.zeros((rows, cols), dtype=np.int64)
         for t in range(rows):
             for p in range(cols):
-                confusion[t, p] = int(values[f"confusion.{t}.{p}"])
+                confusion[t, p] = int(values.pop(f"confusion.{t}.{p}"))
         attr_pr = []
-        i = 0
-        while f"attr_pr.{i}" in values:
-            prec, rec = values[f"attr_pr.{i}"].split(",")
+        while f"attr_pr.{len(attr_pr)}" in values:
+            prec, rec = values.pop(f"attr_pr.{len(attr_pr)}").split(",")
             attr_pr.append((float(prec), float(rec)))
-            i += 1
-        return MetricsReport(confusion=confusion, attr_pr=attr_pr,
-                             **fields_from_kv(values, MetricsReport))
+        scalars = fields_from_kv(values, MetricsReport)
     except KeyError as err:
         raise FormatError(f"{path}: missing report key {err}") from None
     except ValueError as err:
         raise FormatError(f"{path}: bad report value: {err}") from None
+    unknown = [key for key in values if key not in scalars]
+    if unknown:
+        raise FormatError(f"{path}: unknown report key(s) {', '.join(unknown)}")
+    return MetricsReport(confusion=confusion, attr_pr=attr_pr, **scalars)

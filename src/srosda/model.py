@@ -29,9 +29,9 @@ from typing import Dict
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import read_struct, write_file
+from .dataio import check_matrix, read_struct, write_file
 from .exceptions import ContractError, FormatError
-from .numkernel import check_finite, make_rng
+from .numkernel import make_rng
 
 Z_DIM = 512
 GZ_HIDDEN = 1024
@@ -153,8 +153,8 @@ def forward_gz(params: ModelParams, x, keep=False):
     returned in place of a pass; anything else runs the pass.
     """
     global _kept
-    x = check_finite(x, "G_Z input")
-    if x.ndim != 2 or x.shape[1] != params.d_x:
+    x = check_matrix(x, "G_Z input")
+    if x.shape[1] != params.d_x:
         raise ContractError(f"G_Z input must be (n, {params.d_x}), got {x.shape}")
     if keep:
         _kept = None  # the old entry is freed before the pass allocates

@@ -18,7 +18,6 @@ from .exceptions import ContractError, PropagationError, SingularMatrixError
 from .model import (ModelParams, param_tensors, tape_forward_c,
                     tape_forward_d_logits, tape_forward_ga, tape_forward_gz,
                     tape_joint)
-from .numkernel import class_means
 
 SIGMA2_FLOOR = 1e-12
 DEGREE_FLOOR = 1e-12
@@ -54,13 +53,6 @@ class TrainBatch:
     t_pseudo: np.ndarray      # nt ints in [0, k_s + k)
     t_seen_mask: np.ndarray   # nt bools
     t_pseudo_attrs: np.ndarray  # nt x d_a, valid where seen
-
-
-def compute_z_prototypes(z_t, pseudo, n_classes) -> ZPrototypes:
-    pseudo = np.asarray(pseudo)
-    if pseudo.size and (pseudo.min() < 0 or pseudo.max() >= n_classes):
-        raise ContractError("pseudo label out of range")
-    return ZPrototypes(*class_means(z_t, pseudo, n_classes))
 
 
 # ---------------------------------------------------------------------------

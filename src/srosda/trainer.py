@@ -20,12 +20,12 @@ import numpy as np
 
 from .dataio import (SourceDataset, check_field_types, check_matrix,
                      read_dataclass, write_file)
-from .exceptions import ConfigError, ContractError, DataError, TrainingError
+from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params
-from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, make_rng,
-                        single_blas_thread)
+from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, class_means,
+                        make_rng, single_blas_thread)
 from .objective import (BatchLossReport, TrainBatch, ZPrototypes,
-                        compute_z_prototypes, objective_grads, total_objective)
+                        objective_grads, total_objective)
 from .separation import PseudoState, run_progressive_separation
 
 # The propagation system I - beta L has its eigenvalues in [1 - beta, 1 + beta]
@@ -131,10 +131,9 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
                    keep=True) -> Tuple[PseudoState, ZPrototypes, np.ndarray]:
     """Re-run the separation procedure and derived state.
 
-    ``space="x"`` separates on raw features (epoch-0 initialization), which
-    must be a finite 2-D array (DataError) as wide as the source's
-    (ContractError), as ``forward_gz`` checks them for ``space="z"``;
-    ``space="z"`` separates on current G_Z embeddings. Returns the pseudo
+    ``space="x"`` separates on raw features (epoch-0 initialization),
+    ``space="z"`` on current G_Z embeddings; in both, ``forward_gz`` embeds
+    the target rows first, so it is their one check. Returns the pseudo
     state, the full-set z-prototypes and the per-target pseudo attributes
     (rows of the source attribute table for seen targets, zeros otherwise).
     ``keep`` is passed to the target rows' ``forward_gz``, so that a
@@ -142,22 +141,17 @@ def refresh_pseudo(params: ModelParams, source: SourceDataset, target_features,
     embedding.
     """
     if space == "x":
-        src_feats = source.features
-        tgt_feats = check_matrix(target_features, "target features")
-        if tgt_feats.shape[1] != src_feats.shape[1]:
-            raise ContractError(f"target features must be (n, {src_feats.shape[1]}), "
-                                f"got {tgt_feats.shape}")
+        z_t = forward_gz(params, target_features, keep=keep)
+        src_feats, tgt_feats = source.features, target_features
     elif space == "z":
         src_feats = forward_gz(params, source.features)
-        tgt_feats = forward_gz(params, target_features, keep=keep)
+        z_t = tgt_feats = forward_gz(params, target_features, keep=keep)
     else:
         raise ConfigError(f"unknown separation space {space!r}")
     state = run_progressive_separation(src_feats, source.labels, source.k_s,
                                        tgt_feats, cfg)
-    z_t = (tgt_feats if space == "z"
-           else forward_gz(params, target_features, keep=keep))
-    rz = compute_z_prototypes(z_t, state.pseudo_label, source.k_s + cfg.k)
-    pseudo_attrs = np.zeros((tgt_feats.shape[0], source.d_a))
+    rz = ZPrototypes(*class_means(z_t, state.pseudo_label, source.k_s + cfg.k))
+    pseudo_attrs = np.zeros((z_t.shape[0], source.d_a))
     seen = state.seen_mask
     pseudo_attrs[seen] = source.attr_table_seen[state.pseudo_label[seen]]
     return state, rz, pseudo_attrs

@@ -6,8 +6,9 @@ The ``two_blas_threads`` fixture sets the process's BLAS thread count to 2.
 ``propagation_oracle`` is the reference for attribute propagation,
 ``gauss_jordan_oracle`` the bitwise reference for ``numkernel.inv_small``,
 ``affine_oracle`` the bitwise reference for ``autodiff.affine``,
-``copy_params`` a deep copy of a ``ModelParams`` and ``grad_check`` the
-finite-difference check of analytic gradients.
+``copy_params`` a deep copy of a ``ModelParams``, ``grad_check`` the
+finite-difference check of analytic gradients and ``save_features`` a writer
+of one feature file.
 """
 
 from typing import Callable
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from srosda import autodiff as ad
+from srosda.dataio import _feature_file, write_file
 from srosda.exceptions import ContractError, SingularMatrixError
 from srosda.model import LAYER_NAMES, ModelParams
 from srosda.numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE,
@@ -88,6 +90,12 @@ def affine_oracle(x, w, b, relu=False):
 def copy_params(params: ModelParams) -> ModelParams:
     """A ``ModelParams`` whose arrays are copies of ``params``'s."""
     return ModelParams({k: v.copy() for k, v in params.arrays.items()})
+
+
+def save_features(matrix, path):
+    """Write ``matrix`` as a binary ``SROS`` feature file, as ``save_dataset``
+    writes each of its feature files."""
+    write_file(path, _feature_file(matrix, "features"))
 
 
 def grad_check(loss_evaluator: Callable, params: ModelParams, eps=1e-5,

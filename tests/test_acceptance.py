@@ -20,9 +20,9 @@ from srosda.evaluation import compute_report, load_report, save_report
 from conftest import grad_check
 from srosda.model import (ModelParams, init_params, load_checkpoint,
                           save_checkpoint)
-from srosda.numkernel import make_rng, single_blas_thread
-from srosda.objective import (TrainBatch, batch_objective, build_adjacency_t,
-                              compute_z_prototypes, objective_grads,
+from srosda.numkernel import class_means, make_rng, single_blas_thread
+from srosda.objective import (TrainBatch, ZPrototypes, batch_objective,
+                              build_adjacency_t, objective_grads,
                               propagation_matrix_t)
 from srosda.separation import (kmeans, kmeans_pp_init,
                                run_progressive_separation)
@@ -76,7 +76,7 @@ def _grad_check_batch():
                        t_seen_mask=seen_mask, t_pseudo_attrs=pseudo_attrs)
     params = init_params(32, 12, 4, seed=2)
     from srosda.model import forward_gz
-    rz = compute_z_prototypes(forward_gz(params, batch.xt), pseudo, 6)
+    rz = ZPrototypes(*class_means(forward_gz(params, batch.xt), pseudo, 6))
     return params, batch, rz
 
 
@@ -349,8 +349,8 @@ def test_criterion_8_format_round_trips(tmp_path):
     results = {}
 
     p1, p2 = tmp_path / "a.sros", tmp_path / "b.sros"
-    dataio.save_features(src.features, p1)
-    dataio.save_features(dataio.load_features(p1), p2)
+    conftest.save_features(src.features, p1)
+    conftest.save_features(dataio.load_features(p1), p2)
     results["features"] = p1.read_bytes() == p2.read_bytes()
 
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,13 +6,13 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_features
 from srosda import dataio
 from srosda.dataio import (SourceDataset, SynthSpec, TargetDataset, TargetEval,
                            default_synth_spec, fields_to_kv, load_attribute_table,
                            load_features, load_labels, load_source, load_target,
                            read_dataclass, read_kv, save_attribute_table, save_dataset,
-                           save_features, save_labels, synth_generate, write_file,
-                           write_kv)
+                           save_labels, synth_generate, write_file, write_kv)
 from srosda.evaluation import MetricsReport, save_report
 from srosda.exceptions import (ContractError, DataError, FormatError,
                                GenerationError)

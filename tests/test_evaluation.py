@@ -170,10 +170,11 @@ def test_eval_semantic_bounds(fixture):
 
 
 @pytest.mark.parametrize("case", ["no eval data", "seen classes only",
-                                  "6 columns"])
+                                  "6 columns", "no rows"])
 def test_compute_report_refuses_unusable_annotations_before_embedding(
         fixture, monkeypatch, case):
     params, tgt = fixture  # k_s = 3, d_a = 8
+    features = tgt.features
     labels, table = tgt.eval_data.labels, tgt.eval_data.attr_table_full
     eval_data, message = {
         "no eval data": (None, "requires target eval labels"),
@@ -181,14 +182,18 @@ def test_compute_report_refuses_unusable_annotations_before_embedding(
                                          attr_table_full=table[:3]),
                               "has 3 classes, not more than the model's 3"),
         "6 columns": (TargetEval(labels=labels, attr_table_full=table[:, :6]),
-                      "has 6 columns, not the model's d_a = 8")}[case]
+                      "has 6 columns, not the model's d_a = 8"),
+        "no rows": (TargetEval(labels=labels[:0], attr_table_full=table),
+                    "at least one target row")}[case]
+    if case == "no rows":
+        features = features[:0]
 
     def no_embedding(*args, **kwargs):
         raise AssertionError("compute_report embedded rows it cannot score")
 
     monkeypatch.setattr(evaluation, "forward_gz", no_embedding)
     with pytest.raises(ProtocolError, match=message):
-        compute_report(params, TargetDataset(tgt.features, eval_data),
+        compute_report(params, TargetDataset(features, eval_data),
                        tau=0.5, epochs=1, seed=0)
 
 
@@ -275,6 +280,21 @@ def test_load_report_rejects_repeated_key(tmp_path, fixture):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("os = 0.99\n")
     with pytest.raises(FormatError, match="'os' is given more than once"):
+        load_report(path)
+
+
+@pytest.mark.parametrize("extra", [
+    "attr_pr.{after_gap} = 0.5,0.5", "confusion.99.0 = 4", "os_typo = 7",
+], ids=["attr_pr after a gap", "confusion cell outside", "unknown scalar"])
+def test_load_report_rejects_keys_it_does_not_read(tmp_path, fixture, extra):
+    params, tgt = fixture
+    path = tmp_path / "report.txt"
+    save_report(compute_report(params, tgt, tau=0.3, epochs=5, seed=1), path)
+    line = extra.format(after_gap=tgt.features.shape[0] + 1)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    key = line.partition(" ")[0]
+    with pytest.raises(FormatError, match=f"unknown report key.*{key}"):
         load_report(path)
 
 

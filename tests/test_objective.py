@@ -8,10 +8,10 @@ from srosda import autodiff as ad
 from srosda.exceptions import ContractError, PropagationError
 from srosda.dataio import default_synth_spec, synth_generate
 from srosda.model import init_params
-from srosda.numkernel import make_rng, single_blas_thread
+from srosda.numkernel import class_means, make_rng, single_blas_thread
 from srosda.objective import (BCE_EPS, TrainBatch, ZPrototypes,
                               batch_objective, build_adjacency_t,
-                              compute_z_prototypes, loss_alignment_one_t,
+                              loss_alignment_one_t,
                               loss_attribute_t, loss_classifier_t,
                               objective_grads, propagate_attributes_t,
                               propagation_matrix_t, total_objective)
@@ -22,12 +22,10 @@ D_X, D_A, K_S, K = 6, 4, 3, 2
 
 def test_compute_z_prototypes_means_and_presence():
     z = np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]])
-    rz = compute_z_prototypes(z, np.array([0, 0, 2]), 4)
+    rz = ZPrototypes(*class_means(z, np.array([0, 0, 2]), 4))
     assert np.array_equal(rz.means[0], [2.0, 2.0])
     assert np.array_equal(rz.means[2], [5.0, 5.0])
     assert np.array_equal(rz.present, [True, False, True, False])
-    with pytest.raises(ContractError):
-        compute_z_prototypes(z, np.array([0, 0, 4]), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def make_batch(seed=0, ns=6, nt=8):
 def make_rz(params, batch):
     from srosda.model import forward_gz
     z = forward_gz(params, batch.xt)
-    return compute_z_prototypes(z, batch.t_pseudo, K_S + K)
+    return ZPrototypes(*class_means(z, batch.t_pseudo, K_S + K))
 
 
 def test_batch_objective_report_consistent():

@@ -299,9 +299,9 @@ def test_refresh_pseudo_spaces():
 @pytest.mark.parametrize("entry, features, error, message", [
     ("refresh_pseudo", np.zeros(25), DataError, "must be a 2-D array"),
     ("refresh_pseudo", np.zeros((25, 7)), ContractError,
-     r"target features must be \(n, 8\), got \(25, 7\)"),
+     r"G_Z input must be \(n, 8\), got \(25, 7\)"),
     ("train", np.zeros((25, 7)), ContractError,
-     r"target features must be \(n, 8\), got \(25, 7\)"),
+     r"G_Z input must be \(n, 8\), got \(25, 7\)"),
 ], ids=["1-D", "7-wide", "train-7-wide"])
 def test_x_space_refresh_checks_target_rows(entry, features, error, message):
     # the bare array is refused before the separation runs on it
@@ -313,6 +313,30 @@ def test_x_space_refresh_checks_target_rows(entry, features, error, message):
         else:
             refresh_pseudo(init_params(SPEC.d_x, SPEC.d_a, SPEC.k_s), src,
                            features, cfg, space="x")
+
+
+@pytest.mark.parametrize("features, error", [
+    (np.zeros(25), DataError), (np.zeros((25, 7)), ContractError),
+    (np.full((25, 8), np.nan), DataError),
+], ids=["1-D", "7-wide", "NaN"])
+def test_refresh_spaces_refuse_target_rows_alike(monkeypatch, features, error):
+    # forward_gz checks the target rows in both spaces before the separation
+    # runs, so x and z give one error and train the same type
+    def separation(*args, **kwargs):
+        raise AssertionError("the separation ran on unchecked rows")
+
+    monkeypatch.setattr(trainer, "run_progressive_separation", separation)
+    src, _ = synth_generate(SPEC)
+    params = init_params(SPEC.d_x, SPEC.d_a, SPEC.k_s)
+    cfg = small_cfg()
+    raised = []
+    for space in ("x", "z"):
+        with pytest.raises(error) as info:
+            refresh_pseudo(params, src, features, cfg, space=space)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    with pytest.raises(error):
+        train(cfg, src, features)
 
 
 def test_refresh_then_report_embeds_target_once(monkeypatch, tmp_path):
