@@ -191,6 +191,9 @@ def load_report(path) -> MetricsReport:
     try:
         rows = int(values.pop("confusion.rows"))
         cols = int(values.pop("confusion.cols"))
+        if min(rows, cols) < 0 or rows * cols > len(values):
+            raise FormatError(f"{path}: confusion shape {rows} x {cols} does "
+                              f"not fit the {len(values)} keys left to read")
         confusion = np.zeros((rows, cols), dtype=np.int64)
         for t in range(rows):
             for p in range(cols):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -135,14 +137,14 @@ def test_constants_stay_off_the_tape():
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     c = ad.ensure(a)
     t = ad.Tensor(b)
-    assert not c.needs_grad and c._parents == () and t.needs_grad
+    assert not c.needs_grad and c.node.parents == () and t.needs_grad
     out = ad.matmul(c, t)
     ad.tsum(out).backward()
     assert c.grad is None
     assert np.array_equal(t.grad, a.T @ np.ones((3, 2)))
     # a subgraph built only from constants needs no gradient and keeps no tape
     k = ad.exp(ad.ensure(a)) * ad.ensure(a) + 1.0
-    assert not k.needs_grad and k._parents == () and k._backward is None
+    assert not k.needs_grad and k.node.parents == () and k.node.backward is None
     mixed = ad.tsum(ad.concat([k, ad.Tensor(a)], axis=0))
     assert mixed.needs_grad
     mixed.backward()
@@ -315,10 +317,10 @@ def consumable_graph():
 def test_backward_consumes_the_tape():
     root, w, c, inner = consumable_graph()
     root.backward()
-    for node in inner:
-        assert node.grad is None and node._parents == ()
+    for t in inner:
+        assert t.grad is None and t.node.parents == ()
         with pytest.raises(ContractError, match="consumed tape"):
-            node._backward(np.ones_like(node.value))
+            t.node.backward(np.ones_like(t.value))
     # the leaf keeps its gradient, the constant gets none
     assert w.grad is not None and w.grad.shape == (3, 2)
     assert c.grad is None
@@ -336,3 +338,64 @@ def test_consumed_tape_refuses_another_backward():
     s = inner[1]
     with pytest.raises(ContractError, match="consumed tape"):
         ad.tsum(s * 2.0).backward()
+
+
+def _leaf(*shape, low=None):
+    v = make_rng(12).normal(size=shape)
+    return ad.Tensor(np.abs(v) + low if low is not None else v)
+
+
+DIFFERENTIABLE_OPS = {
+    "add": lambda: ad.add(_leaf(3, 4), _leaf(1, 4)),
+    "sub": lambda: ad.sub(_leaf(3, 4), _leaf(3, 1)),
+    "mul": lambda: ad.mul(_leaf(3, 4), _leaf(3, 4)),
+    "div": lambda: ad.div(_leaf(3, 4), _leaf(3, 4, low=0.5)),
+    "neg": lambda: ad.neg(_leaf(3, 4)),
+    "matmul": lambda: ad.matmul(_leaf(3, 4), _leaf(4, 2)),
+    "affine": lambda: ad.affine(_leaf(3, 4), _leaf(4, 2), _leaf(2)),
+    "affine_relu": lambda: ad.affine(_leaf(3, 4), _leaf(4, 2), _leaf(2),
+                                     relu=True),
+    "transpose": lambda: ad.transpose(_leaf(3, 4)),
+    "sigmoid": lambda: ad.sigmoid(_leaf(3, 4)),
+    "exp": lambda: ad.exp(_leaf(3, 4)),
+    "log": lambda: ad.log(_leaf(3, 4, low=0.5)),
+    "sqrt": lambda: ad.sqrt(_leaf(3, 4, low=0.5)),
+    "square": lambda: ad.square(_leaf(3, 4)),
+    "tsum": lambda: ad.tsum(_leaf(3, 4), axis=1),
+    "concat": lambda: ad.concat([_leaf(3, 4), _leaf(2, 4)], axis=0),
+    "gather_rows": lambda: ad.gather_rows(_leaf(3, 4), [0, 2, 2]),
+    "clip": lambda: ad.clip(_leaf(3, 4), -0.5, 0.5),
+    "clip_min": lambda: ad.clip_min(_leaf(3, 4), 0.0),
+    "inverse": lambda: ad.inverse(ad.Tensor(np.eye(3) * 2.0 + 0.1)),
+    "softmax_cross_entropy": lambda: ad.softmax_cross_entropy(
+        _leaf(3, 4), np.array([0, 3, 1])),
+}
+
+
+@pytest.mark.parametrize("op", sorted(DIFFERENTIABLE_OPS))
+def test_no_backward_closure_holds_a_tensor(op):
+    # a closure that held a parent Tensor would keep its value alive for as
+    # long as the tape, whether or not the backward reads it
+    out = DIFFERENTIABLE_OPS[op]()
+    assert out.needs_grad and out.node.backward.__closure__
+    stack = [cell.cell_contents for cell in out.node.backward.__closure__]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        assert not isinstance(obj, ad.Tensor), f"{op}'s backward holds a Tensor"
+
+
+def test_a_value_no_backward_reads_is_freed_before_backward():
+    t = ad.Tensor(make_rng(13).normal(size=(3, 4)))
+    s = t + 1.0
+    e = ad.exp(s)
+    out = ad.tsum(s) + ad.tsum(e)
+    # exp's backward reads its output, and neither tsum nor exp reads s
+    unread, read = weakref.ref(s.value), weakref.ref(e.value)
+    del s, e
+    assert unread() is None, "a value no backward reads outlives its Tensor"
+    assert read() is not None, "exp's backward lost the output it reads"
+    out.backward()
+    assert read() is None, "backward keeps a consumed closure's array"
+    assert np.array_equal(t.grad, 1.0 + np.exp(t.value + 1.0))

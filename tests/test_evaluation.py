@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import copy_params
 from srosda import evaluation
 from srosda.dataio import (SynthSpec, TargetDataset, TargetEval, read_kv,
-                           synth_generate)
+                           synth_generate, write_kv)
 from srosda.evaluation import (MetricsReport, attribute_pr_all, compute_report,
                                eval_openset, eval_semantic, harmonic_mean,
                                joint_features, load_report, save_report)
@@ -295,6 +295,20 @@ def test_load_report_rejects_keys_it_does_not_read(tmp_path, fixture, extra):
         fh.write(line + "\n")
     key = line.partition(" ")[0]
     with pytest.raises(FormatError, match=f"unknown report key.*{key}"):
+        load_report(path)
+
+
+@pytest.mark.parametrize("rows, cols", [(10_000_000, 10_000_000), (-1, 4)])
+def test_load_report_rejects_a_confusion_shape_its_cells_cannot_fill(
+        tmp_path, fixture, rows, cols):
+    # refused before the matrix is allocated: 10^7 x 10^7 int64 is 728 TiB
+    params, tgt = fixture
+    path = tmp_path / "report.txt"
+    save_report(compute_report(params, tgt, tau=0.3, epochs=5, seed=1), path)
+    shape = {"confusion.rows": rows, "confusion.cols": cols}
+    write_kv([(key, shape.get(key, value)) for key, value in read_kv(path)],
+             path)
+    with pytest.raises(FormatError, match=f"confusion shape {rows} x {cols}"):
         load_report(path)
 
 
