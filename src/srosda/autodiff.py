@@ -346,17 +346,15 @@ def square(a):
     return Tensor(av * av, (na,), back)
 
 
-def tsum(a, axis=None, keepdims=False):
+def tsum(a, axis=None):
+    """The sum of every entry, or the sums along ``axis`` with that axis kept."""
     a = ensure(a)
     na, shape = a.node, a.value.shape
 
     def back(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _acc(na, np.broadcast_to(gg, shape))
+        _acc(na, np.broadcast_to(g, shape))
 
-    return Tensor(a.value.sum(axis=axis, keepdims=keepdims), (na,), back)
+    return Tensor(a.value.sum(axis=axis, keepdims=axis is not None), (na,), back)
 
 
 def concat(tensors, axis=0):
@@ -406,8 +404,8 @@ def clip_min(a, lo):
 
 
 def inverse(a):
-    """Matrix inverse by ``inv_small``'s pivoted Gauss-Jordan elimination,
-    which also enforces its size and condition limits."""
+    """Matrix inverse by ``inv_small``'s pivoted Gauss-Jordan elimination;
+    the caller bounds its size and conditioning."""
     a = ensure(a)
     na, w = a.node, inv_small(a.value)
 

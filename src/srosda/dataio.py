@@ -36,6 +36,8 @@ from .numkernel import check_finite, make_rng
 
 FEATURE_MAGIC = b"SROS"
 FEATURE_VERSION = 1
+# draws of the seen attribute rows before synth gives up on a table
+ATTR_TABLE_TRIES = 2000
 
 
 def check_matrix(a, what):
@@ -162,7 +164,7 @@ class SynthSpec:
                 "unseen_flip_bits must lie in [min_attr_hamming, d_a]")
 
 
-def _random_attr_table(rng, k_s, k, d_a, min_hamming, flip_bits, tries=2000):
+def _random_attr_table(rng, k_s, k, d_a, min_hamming, flip_bits):
     """Sample a (k_s + k) x d_a binary table. Seen rows are drawn uniformly and
     kept well separated; each unseen row is a seen row with ``flip_bits`` bits
     flipped, so every unseen signature stays within reach of the seen ones
@@ -172,7 +174,7 @@ def _random_attr_table(rng, k_s, k, d_a, min_hamming, flip_bits, tries=2000):
         raise GenerationError(
             f"cannot place {k_t} distinct binary rows in d_a={d_a} bits; increase d_a")
     seen_sep = max(min_hamming, flip_bits + 1)
-    for _ in range(tries):
+    for _ in range(ATTR_TABLE_TRIES):
         seen = rng.integers(0, 2, size=(k_s, d_a))
         diff = (seen[:, None, :] != seen[None, :, :]).sum(axis=2)
         np.fill_diagonal(diff, seen_sep)

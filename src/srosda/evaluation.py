@@ -113,16 +113,13 @@ def eval_semantic(params: ModelParams, f, a_hat, labels, table):
 def attribute_pr_all(a_hat, a_true):
     """Per-sample precision/recall of each row of ``a_hat``, thresholded at
     ATTR_THRESHOLD (inclusive), against the same row of the 0/1 ``a_true``,
-    as a list of (precision, recall) pairs; ContractError unless the two
-    have one shape.
+    as a list of (precision, recall) pairs.
 
     Vacuous cases: no predicted and no true positives -> precision 1.0; no
     predicted positives but true positives exist -> precision 0.0; no true
     positives -> recall 1.0.
     """
     a_hat = np.asarray(a_hat, dtype=np.float64)
-    if a_hat.shape != a_true.shape:
-        raise ContractError("attribute_pr_all dimension mismatch")
     pred = a_hat >= ATTR_THRESHOLD
     true = a_true > 0.5
     tp = np.count_nonzero(pred & true, axis=1)

@@ -18,15 +18,11 @@ class FormatError(SrosdaError):
 
 
 class SingularMatrixError(SrosdaError):
-    """Matrix inversion hit a zero pivot or an excessive condition estimate."""
+    """Matrix inversion hit a zero matrix or a zero pivot."""
 
 
 class GenerationError(SrosdaError):
     """Synthetic dataset generation could not satisfy its separation constraints."""
-
-
-class PropagationError(SrosdaError):
-    """Attribute propagation failed (singular propagation system)."""
 
 
 class ConfigError(SrosdaError):

@@ -158,12 +158,16 @@ def forward_gz(params: ModelParams, x, keep=False):
         raise ContractError(f"G_Z input must be (n, {params.d_x}), got {x.shape}")
     if keep:
         _kept = None  # the old entry is freed before the pass allocates
-    # the rows are compared first, so the weights are hashed only on a match
-    elif (_kept is not None
-          and np.array_equal(_kept[0].view(np.uint64), x.view(np.uint64))
-          and _kept[1] == _gz_digest(params.arrays)):
-        z, _kept = _kept[2], None
-        return z
+    else:
+        # the slot is read once, as another thread may refill it while the
+        # weights are hashed; the rows are compared first, so the weights
+        # are hashed only on a match
+        kept = _kept
+        if (kept is not None
+                and np.array_equal(kept[0].view(np.uint64), x.view(np.uint64))
+                and kept[1] == _gz_digest(params.arrays)):
+            _kept = None
+            return kept[2]
     z = tape_forward_gz(params.arrays, x).value
     if keep:
         z.flags.writeable = False

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .exceptions import ContractError, PropagationError, SingularMatrixError
+from .exceptions import ContractError
 from .model import (ModelParams, param_tensors, tape_forward_c,
                     tape_forward_d_logits, tape_forward_ga, tape_forward_gz,
                     tape_joint)
@@ -59,7 +59,7 @@ class TrainBatch:
 # attribute propagation
 
 def _pairwise_sq_t(z):
-    r = ad.tsum(ad.square(z), axis=1, keepdims=True)
+    r = ad.tsum(ad.square(z), axis=1)
     d2 = ad.clip_min(r + ad.transpose(r) - 2.0 * (z @ ad.transpose(z)), 0.0)
     return 0.5 * (d2 + ad.transpose(d2))
 
@@ -84,13 +84,10 @@ def propagation_matrix_t(adj, beta):
     """W = (I - beta L)^-1 with L = D^-1/2 A D^-1/2, the closed form of label
     propagation (Zhou et al., NIPS 2004); degrees are floored."""
     n = adj.shape[0]
-    deg = ad.clip_min(ad.tsum(adj, axis=1, keepdims=True), DEGREE_FLOOR)
+    deg = ad.clip_min(ad.tsum(adj, axis=1), DEGREE_FLOOR)
     dinv = 1.0 / ad.sqrt(deg)
     lap = adj * (dinv @ ad.transpose(dinv))
-    try:
-        return ad.inverse(np.eye(n) - beta * lap)
-    except SingularMatrixError as err:
-        raise PropagationError(f"propagation system singular: {err}") from None
+    return ad.inverse(np.eye(n) - beta * lap)
 
 
 def propagate_attributes_t(w, raw):
@@ -102,7 +99,7 @@ def propagate_attributes_t(w, raw):
 # loss terms
 
 def _dists_to_protos_t(z, protos):
-    rz = ad.tsum(ad.square(z), axis=1, keepdims=True)
+    rz = ad.tsum(ad.square(z), axis=1)
     rr = (protos * protos).sum(axis=1)[None, :]
     d2 = ad.clip_min(rz + rr - 2.0 * (z @ ad.ensure(protos.T)), DIST_SQ_FLOOR)
     return ad.sqrt(d2)

@@ -197,8 +197,6 @@ def run_progressive_separation(source_feats, source_labels, k_s, target_feats,
     if used_fallback:
         n_fallback = max(cfg.k, int(np.ceil(target_feats.shape[0] / (k_s + cfg.k))))
         unseen_idx = np.argsort(conf, kind="stable")[:n_fallback]
-        seen_mask = np.ones(target_feats.shape[0], dtype=bool)
-        seen_mask[unseen_idx] = False
 
     candidates = target_feats[unseen_idx]
     eta, _, _ = kmeans(candidates,

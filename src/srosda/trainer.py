@@ -22,17 +22,17 @@ from .dataio import (SourceDataset, check_field_types, check_matrix,
                      read_dataclass, write_file)
 from .exceptions import ConfigError, DataError, TrainingError
 from .model import ModelParams, forward_gz, init_params
-from .numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE, class_means,
-                        make_rng, single_blas_thread)
+from .numkernel import class_means, make_rng, single_blas_thread
 from .objective import (BatchLossReport, TrainBatch, ZPrototypes,
                         objective_grads, total_objective)
 from .separation import PseudoState, run_progressive_separation
 
-# The propagation system I - beta L has its eigenvalues in [1 - beta, 1 + beta]
-# (L is a normalized affinity), so its 1-norm condition number is at most
-# 2 n / (1 - beta) for n <= MAX_INVERSE_SIZE rows. Up to this beta that stays
-# within the CONDITION_LIMIT that inv_small enforces.
-BETA_MAX = 1.0 - 2.0 * MAX_INVERSE_SIZE / CONDITION_LIMIT
+# TrainConfig.validate alone bounds the propagation inverse. I - beta L has its
+# eigenvalues in [1 - beta, 1 + beta] (L is a normalized affinity), so its
+# 1-norm condition number is at most 2 n / (1 - beta) for n <= MAX_INVERSE_SIZE
+# rows; up to this beta that stays within 1e12.
+MAX_INVERSE_SIZE = 512
+BETA_MAX = 1.0 - 2.0 * MAX_INVERSE_SIZE / 1e12
 
 
 @dataclass

@@ -20,8 +20,7 @@ from srosda import autodiff as ad
 from srosda.dataio import _feature_file, write_file
 from srosda.exceptions import ContractError, SingularMatrixError
 from srosda.model import LAYER_NAMES, ModelParams
-from srosda.numkernel import (CONDITION_LIMIT, MAX_INVERSE_SIZE,
-                              _blas_thread_control, check_finite, make_rng)
+from srosda.numkernel import _blas_thread_control, check_finite, make_rng
 
 acceptance_verdicts = []
 
@@ -48,14 +47,12 @@ def propagation_oracle(z, beta):
 
 def gauss_jordan_oracle(m):
     """Gauss-Jordan elimination of the n x 2n ``[m | I]`` with partial
-    pivoting: the textbook form of ``inv_small``, with its checks, limits
-    and messages. ``inv_small`` must return the same bytes."""
+    pivoting: the textbook form of ``inv_small``, with its checks and
+    messages. ``inv_small`` must return the same bytes."""
     m = check_finite(m, "matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractError("inv_small expects a square matrix")
     n = m.shape[0]
-    if n > MAX_INVERSE_SIZE:
-        raise ContractError(f"inv_small limited to n <= {MAX_INVERSE_SIZE}, got {n}")
     scale = np.abs(m).max()
     if scale == 0.0:
         raise SingularMatrixError("zero matrix is singular")
@@ -72,11 +69,7 @@ def gauss_jordan_oracle(m):
         factors = aug[:, col].copy()
         factors[col] = 0.0
         aug[:, col:] -= np.outer(factors, aug[col, col:])
-    inv = aug[:, n:].copy()
-    cond = np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-    if cond > CONDITION_LIMIT:
-        raise SingularMatrixError(f"condition estimate {cond:.3e} exceeds limit")
-    return inv
+    return aug[:, n:].copy()
 
 
 def affine_oracle(x, w, b, relu=False):

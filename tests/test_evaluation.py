@@ -74,8 +74,6 @@ def test_attribute_pr_vacuous_cases():
     assert pr_one([0.1, 0.2], [1, 0]) == (0.0, 0.0)
     p, r = pr_one([0.9, 0.8], [0, 0])
     assert p == 0.0 and r == 1.0
-    with pytest.raises(ContractError):
-        pr_one([0.5], [1, 0])
 
 
 @st.composite
@@ -109,8 +107,6 @@ def test_attribute_pr_all_matches_per_row(problem):
 
 def test_attribute_pr_all_contracts():
     assert attribute_pr_all(np.eye(2), np.eye(2)) == [(1.0, 1.0), (1.0, 1.0)]
-    with pytest.raises(ContractError):
-        attribute_pr_all(np.zeros((2, 3)), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,27 @@ def test_kept_gz_other_rows_miss(params, empty_slot):
     assert forward_gz(params, x) is kept
 
 
+def test_kept_gz_returns_the_entry_it_compared(params, empty_slot, monkeypatch):
+    # another thread's keep=True pass on other rows, with the same weights,
+    # refills the slot while this call hashes the weights
+    x = make_rng(11).normal(size=(9, D_X))
+    forward_gz(params, x, keep=True)
+    other = make_rng(12).normal(size=(9, D_X))
+    digest = model._gz_digest
+    racing = (other, digest(params.arrays), fresh_gz(params, other))
+    calls = []
+
+    def refill_then_digest(arrays):
+        if not calls:
+            model._kept = racing
+        calls.append(arrays)
+        return digest(arrays)
+
+    monkeypatch.setattr(model, "_gz_digest", refill_then_digest)
+    assert forward_gz(params, x).tobytes() == fresh_gz(params, x).tobytes()
+    assert calls
+
+
 def test_kept_gz_freed_before_next_keep_pass(params, empty_slot):
     # a keep=True call empties the slot before its pass, so two of them on
     # different rows peak at one pass (hidden activation + z), not one pass

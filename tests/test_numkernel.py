@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from srosda import numkernel
 from srosda.exceptions import (ContractError, DataError, SingularMatrixError,
                                SrosdaError)
-from srosda.numkernel import (CONDITION_LIMIT, UPDATE_ROWS, check_finite,
-                              class_means, inv_small, make_rng,
-                              single_blas_thread, sq_dist, sq_norms)
+from srosda.numkernel import (UPDATE_ROWS, check_finite, class_means,
+                              inv_small, make_rng, single_blas_thread,
+                              sq_dist, sq_norms)
 
 
 def test_make_rng_reproducible():
@@ -82,17 +82,9 @@ def test_inv_small_singular():
         inv_small(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
-def test_inv_small_condition_limit():
-    m = np.diag([1.0, 1.0 / (10.0 * CONDITION_LIMIT)])
-    with pytest.raises(SingularMatrixError):
-        inv_small(m)
-
-
 def test_inv_small_contracts():
     with pytest.raises(ContractError):
         inv_small(np.zeros((2, 3)))
-    with pytest.raises(ContractError):
-        inv_small(np.zeros((600, 600)))
     with pytest.raises(ContractError):
         inv_small(np.zeros((0, 0)))
 

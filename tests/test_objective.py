@@ -5,7 +5,7 @@ import pytest
 
 from conftest import propagation_oracle
 from srosda import autodiff as ad
-from srosda.exceptions import ContractError, PropagationError
+from srosda.exceptions import ContractError, SingularMatrixError
 from srosda.dataio import default_synth_spec, synth_generate
 from srosda.model import init_params
 from srosda.numkernel import class_means, make_rng, single_blas_thread
@@ -111,7 +111,7 @@ def test_propagation_tape_matches_plain_and_grad_flows():
 def test_propagation_singular_raises():
     # beta=1 on a connected pair makes I - L singular
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(PropagationError):
+    with pytest.raises(SingularMatrixError):
         propagation(adj, 1.0)
 
 
