@@ -93,15 +93,12 @@ def eval_semantic(params: ModelParams, f, a_hat, labels, table):
     says_unseen = np.argmax(tape_forward_d_logits(params.arrays, f).value,
                             axis=1) == 1
 
+    # either side may have no rows: predict_all then returns no labels
+    seen_lab, _, _ = predict_all(a_hat[~says_unseen], table[:k_s])
+    unseen_lab, _, _ = predict_all(a_hat[says_unseen], table[k_s:])
     pred_class = np.empty(labels.shape[0], dtype=np.int64)
-    seen_rows = np.flatnonzero(~says_unseen)
-    unseen_rows = np.flatnonzero(says_unseen)
-    if seen_rows.size:
-        lab, _, _ = predict_all(a_hat[seen_rows], table[:k_s])
-        pred_class[seen_rows] = lab
-    if unseen_rows.size:
-        lab, _, _ = predict_all(a_hat[unseen_rows], table[k_s:])
-        pred_class[unseen_rows] = lab + k_s
+    pred_class[~says_unseen] = seen_lab
+    pred_class[says_unseen] = unseen_lab + k_s
 
     correct = np.bincount(labels[pred_class == labels], minlength=k_t)
     total = np.bincount(labels, minlength=k_t)

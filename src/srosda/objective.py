@@ -45,7 +45,8 @@ class BatchLossReport:
 
 @dataclass
 class TrainBatch:
-    """One mixed mini-batch. Either domain part may be empty."""
+    """One mixed mini-batch of 2-D float64 parts; any part may be empty, but
+    not the whole batch."""
     xs: np.ndarray            # ns x d_x
     ys: np.ndarray            # ns ints in [0, k_s)
     src_attrs: np.ndarray     # ns x d_a (ground-truth rows)
@@ -158,6 +159,9 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
                     rz: Optional[ZPrototypes], cfg):
     """Assemble every enabled loss term for one batch on the tape.
 
+    One path serves every batch composition: a joint-feature group may have
+    zero rows, and each loss is 0 on zero rows.
+
     ``cfg`` is the run's ``TrainConfig``; this reads its ``lambda1``,
     ``lambda2``, ``beta`` and the ``use_lr`` / ``use_ld`` / ``use_prop`` /
     ``use_fusion`` switches.
@@ -169,15 +173,11 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     """
     pt = param_tensors(params)
     ns = batch.xs.shape[0]
-    nt = batch.xt.shape[0]
-    n = ns + nt
+    n = ns + batch.xt.shape[0]
     if n == 0:
         raise ContractError("empty batch")
 
-    d_x = params.d_x
-    x_all = np.vstack([np.asarray(batch.xs, dtype=np.float64).reshape(ns, d_x),
-                       np.asarray(batch.xt, dtype=np.float64).reshape(nt, d_x)])
-    z = tape_forward_gz(pt, x_all)  # a constant: no input gradient
+    z = tape_forward_gz(pt, np.vstack([batch.xs, batch.xt]))  # x takes no grad
     raw = tape_forward_ga(pt, z)
     if cfg.use_prop and n >= 2:
         adj, _ = build_adjacency_t(z)
@@ -186,68 +186,51 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
     else:
         ahat = ad.clip(raw, BCE_EPS, 1.0 - BCE_EPS)
 
-    seen_idx = np.flatnonzero(batch.t_seen_mask)
-    unseen_idx = np.flatnonzero(~batch.t_seen_mask)
+    t_seen = np.flatnonzero(batch.t_seen_mask)
+    seen, unseen = ns + t_seen, ns + np.flatnonzero(~batch.t_seen_mask)
+    zs = ad.gather_rows(z, np.arange(ns))
+    ahat_s = ad.gather_rows(ahat, np.arange(ns))
+    zt_seen = ad.gather_rows(z, seen)
+    ahat_seen = ad.gather_rows(ahat, seen)
+    seen_attrs = batch.t_pseudo_attrs[t_seen]
+    pseudo_seen = batch.t_pseudo[t_seen]
 
-    # each joint-feature group once: (z rows, attribute half, C labels,
-    # D label); source groups have no D label
-    groups = []
-    zs = ahat_s = ahat_seen = None
-    if ns:
-        zs = ad.gather_rows(z, np.arange(ns))
-        ahat_s = ad.gather_rows(ahat, np.arange(ns))
-        groups += [(zs, batch.src_attrs, batch.ys, None),
-                   (zs, ahat_s, batch.ys, None)]
-    if seen_idx.size:
-        zt_seen = ad.gather_rows(z, ns + seen_idx)
-        ahat_seen = ad.gather_rows(ahat, ns + seen_idx)
-        pseudo_seen = batch.t_pseudo[seen_idx]
-        groups += [(zt_seen, batch.t_pseudo_attrs[seen_idx], pseudo_seen, 0),
-                   (zt_seen, ahat_seen, pseudo_seen, 0)]
-    if unseen_idx.size:
-        groups.append((ad.gather_rows(z, ns + unseen_idx),
-                       ad.gather_rows(ahat, ns + unseen_idx),
-                       np.full(unseen_idx.size, params.k_s), 1))
+    # each joint-feature group once, perhaps with zero rows: (z rows,
+    # attribute half, C labels); the last three are the target groups
+    groups = [(zs, batch.src_attrs, batch.ys), (zs, ahat_s, batch.ys),
+              (zt_seen, seen_attrs, pseudo_seen),
+              (zt_seen, ahat_seen, pseudo_seen),
+              (ad.gather_rows(z, unseen), ad.gather_rows(ahat, unseen),
+               np.full(unseen.size, params.k_s))]
 
     def joint_rows(gs):
         """The groups' joint features stacked, on fresh concat nodes."""
         return ad.concat([tape_joint(z_rows, attrs, cfg.use_fusion)
-                          for z_rows, attrs, _, _ in gs], axis=0)
+                          for z_rows, attrs, _ in gs], axis=0)
 
     # classifier C: every member of each sample's joint-feature set contributes
     l_c = loss_classifier_t(tape_forward_c(pt, joint_rows(groups)),
                             np.concatenate([g[2] for g in groups]))
-    # binary head D (seen 0, unseen 1) over the target groups only
-    target_groups = [g for g in groups if g[3] is not None]
-    if cfg.use_ld and target_groups:
+    # binary head D over the three target groups: seen 0, seen 0, unseen 1
+    if cfg.use_ld:
         l_d = loss_classifier_t(
-            tape_forward_d_logits(pt, joint_rows(target_groups)),
-            np.concatenate([np.full(len(g[2]), g[3]) for g in target_groups]))
+            tape_forward_d_logits(pt, joint_rows(groups[2:])),
+            np.repeat([0, 0, 1], [seen.size, seen.size, unseen.size]))
     else:
         l_d = ad.Tensor(0.0)
 
     # structure-preserving partial alignment
     if cfg.use_lr and rz is not None:
-        l_rs = loss_alignment_one_t(zs, batch.ys, rz) if ns else ad.Tensor(0.0)
-        zt_all = ad.gather_rows(z, ns + np.arange(nt)) if nt else None
-        l_rt = (loss_alignment_one_t(zt_all, batch.t_pseudo, rz)
-                if nt else ad.Tensor(0.0))
+        l_rs = loss_alignment_one_t(zs, batch.ys, rz)
+        l_rt = loss_alignment_one_t(ad.gather_rows(z, np.arange(ns, n)),
+                                    batch.t_pseudo, rz)
     else:
         l_rs = ad.Tensor(0.0)
         l_rt = ad.Tensor(0.0)
 
     # attribute BCE over source + pseudo-seen target
-    a_rows, a_targets = [], []
-    if ns:
-        a_rows.append(ahat_s)
-        a_targets.append(batch.src_attrs)
-    if seen_idx.size:
-        a_rows.append(ahat_seen)
-        a_targets.append(batch.t_pseudo_attrs[seen_idx])
-    if a_rows:
-        l_a = loss_attribute_t(ad.concat(a_rows, axis=0), np.vstack(a_targets))
-    else:
-        l_a = ad.Tensor(0.0)
+    l_a = loss_attribute_t(ad.concat([ahat_s, ahat_seen], axis=0),
+                           np.vstack([batch.src_attrs, seen_attrs]))
 
     total, report = total_objective(l_c, l_d, l_rs, l_rt, l_a, cfg.lambda1,
                                     cfg.lambda2)

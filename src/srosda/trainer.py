@@ -13,6 +13,7 @@ depend on the BLAS thread count.
 """
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -96,22 +97,18 @@ class TrainHistory:
 
 def make_batches(n_source, n_target, batch_size, rng):
     """Seeded shuffled index batches: paired (source, target) half-batches
-    while both streams last, then single-domain batches for the leftover of
-    the longer stream. Each domain is covered exactly once per epoch.
-    ``batch_size`` is one that ``TrainConfig.validate`` accepts."""
+    while both streams last, then batches whose other part is an empty index
+    array for the leftover of the longer stream. Each domain is covered
+    exactly once per epoch. ``batch_size`` is one that
+    ``TrainConfig.validate`` accepts."""
     half_s = (batch_size + 1) // 2
     half_t = batch_size // 2
     s_order = rng.permutation(n_source)
     t_order = rng.permutation(n_target)
     s_chunks = [s_order[i:i + half_s] for i in range(0, n_source, half_s)]
     t_chunks = [t_order[i:i + half_t] for i in range(0, n_target, half_t)]
-    batches = []
-    empty = np.empty(0, dtype=np.int64)
-    for i in range(max(len(s_chunks), len(t_chunks))):
-        s = s_chunks[i] if i < len(s_chunks) else empty
-        t = t_chunks[i] if i < len(t_chunks) else empty
-        batches.append((s, t))
-    return batches
+    return list(itertools.zip_longest(s_chunks, t_chunks,
+                                      fillvalue=np.empty(0, dtype=np.int64)))
 
 
 def sgd_step(params: ModelParams, grads, lr):

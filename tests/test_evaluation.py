@@ -14,6 +14,7 @@ from srosda.evaluation import (MetricsReport, attribute_pr_all, compute_report,
 from srosda.exceptions import (ContractError, DataError, FormatError,
                                ProtocolError)
 from srosda.model import Z_DIM, forward_gz, init_params
+from srosda.separation import predict_all
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -163,6 +164,24 @@ def test_eval_semantic_bounds(fixture):
                             tgt.eval_data.attr_table_full)
     assert 0.0 <= s <= 1.0 and 0.0 <= u <= 1.0
     assert h == pytest.approx(harmonic_mean(s, u), abs=1e-15)
+
+
+@pytest.mark.parametrize("says_unseen", [False, True])
+def test_eval_semantic_routes_every_row_to_one_side(fixture, says_unseen):
+    # D's output bias alone decides the route, so one side gets no rows: its
+    # accuracy is 0 and the other side's is predict_all's on its table rows
+    params, tgt = fixture  # k_s = 3, k_t = 5
+    params = copy_params(params)
+    params.arrays["d_b2"][:] = [-1e6, 1e6] if says_unseen else [1e6, -1e6]
+    f, a_hat = embedded(params, tgt.features)
+    labels, table = tgt.eval_data.labels, tgt.eval_data.attr_table_full
+    s, u, h = eval_semantic(params, f, a_hat, labels, table)
+    lo, hi = (3, 5) if says_unseen else (0, 3)
+    pred = predict_all(a_hat, table[lo:hi])[0] + lo
+    expected = np.mean([np.mean(pred[labels == c] == c) for c in range(lo, hi)])
+    assert expected > 0.0
+    assert ((u, s) if says_unseen else (s, u)) == (pytest.approx(expected), 0.0)
+    assert h == 0.0
 
 
 @pytest.mark.parametrize("case", ["no eval data", "seen classes only",

@@ -217,10 +217,32 @@ def test_batch_objective_report_consistent():
     assert report.l_c > 0.0 and report.l_d > 0.0 and report.l_a > 0.0
 
 
-def test_batch_objective_joint_feature_rows(monkeypatch):
+def part(batch, s_rows, t_rows):
+    """``batch`` cut to the given source and target rows."""
+    return TrainBatch(xs=batch.xs[s_rows], ys=batch.ys[s_rows],
+                      src_attrs=batch.src_attrs[s_rows], xt=batch.xt[t_rows],
+                      t_pseudo=batch.t_pseudo[t_rows],
+                      t_seen_mask=batch.t_seen_mask[t_rows],
+                      t_pseudo_attrs=batch.t_pseudo_attrs[t_rows])
+
+
+# composition -> (source rows, target rows) of a full batch, and whether the
+# part has source, seen target and unseen target rows
+ALL, NONE = slice(None), slice(0)
+COMPOSITIONS = {
+    "full": (lambda b: (ALL, ALL), (True, True, True)),
+    "source-only": (lambda b: (ALL, NONE), (True, False, False)),
+    "target-only": (lambda b: (NONE, ALL), (False, True, True)),
+    "all-seen-target": (lambda b: (ALL, b.t_seen_mask), (True, True, False)),
+    "all-unseen-target": (lambda b: (ALL, ~b.t_seen_mask), (True, False, True)),
+}
+
+
+@pytest.mark.parametrize("composition", list(COMPOSITIONS))
+def test_batch_objective_joint_feature_rows(monkeypatch, composition):
     # C sees two joint features per source and per seen target sample and one
     # per unseen target sample; D sees the target ones only, the same rows as
-    # C's from 2 * ns on
+    # C's from 2 * ns on, and none in a batch without target rows
     from srosda import objective
     inputs = {}
 
@@ -235,12 +257,14 @@ def test_batch_objective_joint_feature_rows(monkeypatch):
     monkeypatch.setattr(objective, "tape_forward_d_logits",
                         capturing("d", objective.tape_forward_d_logits))
     params = init_params(D_X, D_A, K_S, seed=0)
-    batch = make_batch()
-    rz = make_rz(params, batch)
+    full = make_batch()
+    rz = make_rz(params, full)
+    rows, has_parts = COMPOSITIONS[composition]
+    batch = part(full, *rows(full))
     ns = batch.xs.shape[0]
     n_seen = int(batch.t_seen_mask.sum())
     n_unseen = batch.xt.shape[0] - n_seen
-    assert n_seen > 0 and n_unseen > 0
+    assert (ns > 0, n_seen > 0, n_unseen > 0) == has_parts
     for use_fusion in (True, False):
         inputs.clear()
         batch_objective(params, batch, rz,
@@ -250,8 +274,13 @@ def test_batch_objective_joint_feature_rows(monkeypatch):
         assert d.shape[0] == 2 * n_seen + n_unseen
         assert c[2 * ns:].tobytes() == d.tobytes()
         # the attribute half is exactly zero without fusion, and only then
-        zero_attrs = [not f[:, -D_A:].any() for f in (c, d)]
-        assert zero_attrs == [not use_fusion] * 2
+        zero_attrs = [not f[:, -D_A:].any() for f in (c, d) if f.shape[0]]
+        assert zero_attrs == [not use_fusion] * len(zero_attrs)
+        if use_fusion:
+            seen_rows = c[2 * ns:2 * ns + n_seen, -D_A:]
+            assert np.array_equal(c[:ns, -D_A:], batch.src_attrs)
+            assert np.array_equal(seen_rows,
+                                  batch.t_pseudo_attrs[batch.t_seen_mask])
 
 
 def test_batch_objective_toggles():
@@ -277,26 +306,23 @@ def test_batch_objective_single_domain_batches():
     params = init_params(D_X, D_A, K_S, seed=0)
     full = make_batch()
     rz = make_rz(params, full)
-    empty_i = np.empty(0, dtype=np.int64)
-    source_only = TrainBatch(xs=full.xs, ys=full.ys, src_attrs=full.src_attrs,
-                             xt=np.empty((0, D_X)), t_pseudo=empty_i,
-                             t_seen_mask=np.empty(0, dtype=bool),
-                             t_pseudo_attrs=np.empty((0, D_A)))
-    _, report, _, _ = batch_objective(params, source_only, rz, TrainConfig(k=K))
+    cfg = TrainConfig(k=K)
+    _, report, _, _ = batch_objective(params, part(full, ALL, NONE), rz, cfg)
     assert report.l_d == 0.0 and report.l_r_target == 0.0 and report.l_c > 0.0
-    target_only = TrainBatch(xs=np.empty((0, D_X)), ys=empty_i,
-                             src_attrs=np.empty((0, D_A)),
-                             xt=full.xt, t_pseudo=full.t_pseudo,
-                             t_seen_mask=full.t_seen_mask,
-                             t_pseudo_attrs=full.t_pseudo_attrs)
-    _, report, _, _ = batch_objective(params, target_only, rz, TrainConfig(k=K))
+    _, report, _, _ = batch_objective(params, part(full, NONE, ALL), rz, cfg)
     assert report.l_r_source == 0.0 and report.l_c > 0.0
+    # target-only with every target row seen, then every one unseen: only
+    # unseen rows leave no attribute targets (l_r may take either sign)
+    seen_only = part(full, NONE, full.t_seen_mask)
+    _, report, _, _ = batch_objective(params, seen_only, rz, cfg)
+    assert report.l_r_source == 0.0 and report.l_r_target != 0.0
+    assert min(report.l_c, report.l_d, report.l_a) > 0.0
+    unseen_only = part(full, NONE, ~full.t_seen_mask)
+    _, report, _, _ = batch_objective(params, unseen_only, rz, cfg)
+    assert report.l_r_source == 0.0 and report.l_a == 0.0
+    assert min(report.l_c, report.l_d) > 0.0 and report.l_r_target != 0.0
     with pytest.raises(ContractError):
-        batch_objective(params, TrainBatch(
-            xs=np.empty((0, D_X)), ys=empty_i, src_attrs=np.empty((0, D_A)),
-            xt=np.empty((0, D_X)), t_pseudo=empty_i,
-            t_seen_mask=np.empty(0, dtype=bool),
-            t_pseudo_attrs=np.empty((0, D_A))), rz, TrainConfig(k=K))
+        batch_objective(params, part(full, NONE, NONE), rz, cfg)
 
 
 def test_objective_grads_finite_and_nonzero():

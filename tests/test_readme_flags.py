@@ -1,5 +1,6 @@
 """Every ``--flag`` that README.md shows for the ``srosda`` command is one
-that ``cli.build_parser()`` defines, globally or on a subcommand.
+that ``cli.build_parser()`` defines, globally or on a subcommand, and the
+README's round trip writes the shipped data spec and configuration.
 
 Flags are collected from the ``srosda`` lines of fenced code blocks and from
 inline code spans; ``pip`` and ``pytest`` command lines are left out.
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 from srosda.cli import build_parser
+from srosda.dataio import SynthSpec, default_synth_spec, read_dataclass
+from srosda.trainer import TrainConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
@@ -55,3 +58,18 @@ def test_readme_shows_only_defined_flags():
     # the round trip's flags are found, so the scan reads the README
     assert {"--spec", "--config", "--checkpoint", "--in"} <= shown
     assert sorted(shown - parser_flags(build_parser())) == []
+
+
+def test_readme_round_trip_files_are_the_shipped_ones(tmp_path):
+    # the round trip's spec names the data the acceptance tests and the
+    # benchmark use, not SynthSpec's field defaults
+    text = README.read_text(encoding="utf-8")
+    parsed = {}
+    for name, cls in (("spec.txt", SynthSpec), ("config.txt", TrainConfig)):
+        body = re.search(rf"^cat > {re.escape(name)} <<EOF\n(.*?)^EOF$",
+                         text, re.M | re.S).group(1)
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        parsed[name] = read_dataclass(path, cls)
+    assert parsed["spec.txt"] == default_synth_spec(7)
+    assert parsed["config.txt"] == TrainConfig(k=3, epochs=100, seed=7)
