@@ -4,23 +4,24 @@ Covers exactly the primitive set the training objective needs: the fused
 dense layer ``affine(x, w, b, relu)``, matmul, logistic, exp/log/sqrt,
 reductions, concatenation, row gathering, clipping, softmax cross-entropy and
 dense matrix inversion. Gradients through the inverse use dW = -W^T g W^T, so
-losses may differentiate through the attribute-propagation solve.
+losses may differentiate through the attribute-propagation inverse.
 
-A ``Tensor`` is a value and its tape node; the node holds the gradient, the
-parents' nodes and the backward closure, never a value. Each closure keeps
-only the arrays and shapes its backward reads, so the tape holds only what
-backward reads, and an intermediate value that no backward reads is freed
-when its Tensor goes.
+A ``Tensor`` is a value and its tape node; the node holds the gradient and
+its edges, never a value. An edge is an operand's node and its vjp, which
+maps the output's gradient to that operand's; a vjp keeps only the arrays and
+shapes it reads, so an intermediate value that no vjp reads is freed when
+its Tensor goes.
 
 An explicit ``Tensor(v)`` is a differentiable leaf; a raw ndarray that an op
-wraps with ``ensure`` is a constant. A node needs a gradient if and only if
-one of its parents does; a node that needs none keeps neither its parents
-nor its backward closure, and a backward forms a gradient only for the
-parents that need one.
+wraps with ``ensure`` is a constant. Each op hands ``_op`` its value and one
+vjp per operand, and ``_op`` keeps an edge only for an operand that needs a
+gradient: the other vjps are dropped with what they read, a node needs a
+gradient if and only if it has an edge, and backward forms a gradient only
+along an edge.
 
-``backward`` consumes the tape: each node that has parents drops its
-gradient, parents and closure once its own backward has run, so only leaves
-keep ``grad`` and a built graph takes one backward.
+``backward`` consumes the tape: each node with edges drops its gradient and
+edges once it has passed its gradient on, so only leaves keep ``grad`` and a
+built graph takes one backward.
 """
 
 import numpy as np
@@ -32,38 +33,34 @@ SQRT_GRAD_FLOOR = 1e-12
 
 
 class _Node:
-    """The tape's record of one Tensor: its gradient, its parents' nodes and
-    the backward closure that hands them their gradients."""
+    """The tape's record of one Tensor: its gradient and its edges, one
+    ``(parent node, vjp)`` pair per operand that needs a gradient; ``edges``
+    is None once backward has consumed the node."""
 
-    __slots__ = ("grad", "needs_grad", "parents", "backward")
+    __slots__ = ("grad", "needs_grad", "edges")
 
-    def __init__(self, needs_grad, parents, backward):
+    def __init__(self, needs_grad, edges):
         self.grad = None
         self.needs_grad = needs_grad
-        self.parents = parents
-        self.backward = backward
+        self.edges = edges
 
 
 class Tensor:
     """A value and its tape node, whose ``grad`` and ``needs_grad`` it reads
-    through; an op passes its operands' nodes as ``parents``. Leaf tensors
-    have no parents; calling ``backward()`` on a scalar output sets ``grad``
-    on every leaf that ``needs_grad`` and consumes the graph above the
-    leaves. The tape reaches a value only through the closures that read it,
-    so an intermediate value lives only as long as its Tensor or such a
-    closure."""
+    through; ``_op`` passes the node's ``edges``. Leaf tensors have no edges;
+    calling ``backward()`` on a scalar output sets ``grad`` on every leaf
+    that ``needs_grad`` and consumes the graph above the leaves. The tape
+    reaches a value only through the vjps that read it, so an intermediate
+    value lives only as long as its Tensor or such a vjp."""
 
     __slots__ = ("value", "node")
 
     # defer to Tensor's reflected operators when mixed with ndarrays
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), backward=None, needs_grad=True):
+    def __init__(self, value, edges=(), needs_grad=True):
         self.value = np.asarray(value, dtype=np.float64)
-        if parents:
-            needs_grad = any(p.needs_grad for p in parents)
-        self.node = _Node(needs_grad, parents if needs_grad else (),
-                          backward if needs_grad else None)
+        self.node = _Node(needs_grad, edges)
 
     grad = property(lambda self: self.node.grad)
     needs_grad = property(lambda self: self.node.needs_grad)
@@ -85,15 +82,19 @@ class Tensor:
             node.grad = None
         self.node.grad = np.ones_like(self.value)
         # pop, so the list stops holding a node once its turn has passed;
-        # dropping the closure frees the arrays that only its backward read
+        # dropping the edges frees the arrays that only their vjps read.
+        # Every node in the order gets a gradient before its turn.
         while order:
             node = order.pop()
-            if node.backward is not None and node.grad is not None:
-                node.backward(node.grad)
-            if node.parents:
+            edges = node.edges
+            if edges is None:
+                raise ContractError("backward through a consumed tape")
+            if edges:
+                g = node.grad
+                for parent, vjp in edges:
+                    _acc(parent, vjp(g))
                 node.grad = None
-                node.parents = ()
-                node.backward = _consumed
+                node.edges = None
 
     # operator sugar
     def __add__(self, other):
@@ -125,10 +126,6 @@ class Tensor:
         return neg(self)
 
 
-def _consumed(g):
-    raise ContractError("backward through a consumed tape")
-
-
 def _topo_order(root):
     order = []
     seen = set()
@@ -142,7 +139,7 @@ def _topo_order(root):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node.parents:
+        for p, _ in node.edges or ():
             if id(p) not in seen:
                 stack.append((p, False))
     return order
@@ -153,11 +150,17 @@ def ensure(x):
     return x if isinstance(x, Tensor) else Tensor(x, needs_grad=False)
 
 
+def _op(value, *operands):
+    """The Tensor of ``value`` from ``(operand Tensor, vjp)`` pairs: its node
+    keeps an edge for each operand that needs a gradient and drops the other
+    vjps, with the arrays only they read."""
+    live = tuple([(t.node, vjp) for t, vjp in operands if t.node.needs_grad])
+    return Tensor(value, live, needs_grad=bool(live))
+
+
 def _acc(node, g):
     # the first gradient is kept as given, perhaps shared with another node
-    # or a view: no backward writes a grad array in place
-    if not node.needs_grad:
-        return
+    # or a view: no vjp writes a grad array in place
     if node.grad is None:
         node.grad = np.asarray(g, dtype=np.float64)
     else:
@@ -175,244 +178,152 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = ensure(a), ensure(b)
-    na, nb, sa, sb = a.node, b.node, a.value.shape, b.value.shape
-
-    def back(g):
-        if na.needs_grad:
-            _acc(na, _unbroadcast(g, sa))
-        if nb.needs_grad:
-            _acc(nb, _unbroadcast(g, sb))
-
-    return Tensor(a.value + b.value, (na, nb), back)
+    sa, sb = a.value.shape, b.value.shape
+    return _op(a.value + b.value, (a, lambda g: _unbroadcast(g, sa)),
+               (b, lambda g: _unbroadcast(g, sb)))
 
 
 def sub(a, b):
     a, b = ensure(a), ensure(b)
-    na, nb, sa, sb = a.node, b.node, a.value.shape, b.value.shape
-
-    def back(g):
-        if na.needs_grad:
-            _acc(na, _unbroadcast(g, sa))
-        if nb.needs_grad:
-            _acc(nb, _unbroadcast(-g, sb))
-
-    return Tensor(a.value - b.value, (na, nb), back)
+    sa, sb = a.value.shape, b.value.shape
+    return _op(a.value - b.value, (a, lambda g: _unbroadcast(g, sa)),
+               (b, lambda g: _unbroadcast(-g, sb)))
 
 
 def mul(a, b):
     a, b = ensure(a), ensure(b)
-    na, nb, sa, sb = a.node, b.node, a.value.shape, b.value.shape
-    # each operand's value is kept only for the other's gradient
-    av = a.value if nb.needs_grad else None
-    bv = b.value if na.needs_grad else None
-
-    def back(g):
-        if na.needs_grad:
-            _acc(na, _unbroadcast(g * bv, sa))
-        if nb.needs_grad:
-            _acc(nb, _unbroadcast(g * av, sb))
-
-    return Tensor(a.value * b.value, (na, nb), back)
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    return _op(av * bv, (a, lambda g: _unbroadcast(g * bv, sa)),
+               (b, lambda g: _unbroadcast(g * av, sb)))
 
 
 def div(a, b):
     a, b = ensure(a), ensure(b)
-    na, nb, sa, sb = a.node, b.node, a.value.shape, b.value.shape
-    av, bv = (a.value if nb.needs_grad else None), b.value
-
-    def back(g):
-        if na.needs_grad:
-            _acc(na, _unbroadcast(g / bv, sa))
-        if nb.needs_grad:
-            _acc(nb, _unbroadcast(-g * av / (bv * bv), sb))
-
-    return Tensor(a.value / b.value, (na, nb), back)
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    return _op(av / bv, (a, lambda g: _unbroadcast(g / bv, sa)),
+               (b, lambda g: _unbroadcast(-g * av / (bv * bv), sb)))
 
 
 def neg(a):
     a = ensure(a)
-    na = a.node
-
-    def back(g):
-        _acc(na, -g)
-
-    return Tensor(-a.value, (na,), back)
+    return _op(-a.value, (a, lambda g: -g))
 
 
 def matmul(a, b):
     a, b = ensure(a), ensure(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2:
         raise ContractError("matmul supports 2-D operands only")
-    na, nb = a.node, b.node
-    av = a.value if nb.needs_grad else None
-    bv = b.value if na.needs_grad else None
-
-    def back(g):
-        if na.needs_grad:
-            _acc(na, g @ bv.T)
-        if nb.needs_grad:
-            _acc(nb, av.T @ g)
-
-    return Tensor(a.value @ b.value, (na, nb), back)
+    return _op(av @ bv, (a, lambda g: g @ bv.T), (b, lambda g: av.T @ g))
 
 
 def affine(x, w, b, relu=False):
     """x @ w + b as one node, optionally followed by ReLU (kept as ``h * mask``
     so negative pre-activations give -0.0)."""
     x, w, b = ensure(x), ensure(w), ensure(b)
-    if x.value.ndim != 2 or w.value.ndim != 2:
+    xv, wv, sb = x.value, w.value, b.value.shape
+    if xv.ndim != 2 or wv.ndim != 2:
         raise ContractError("affine supports 2-D operands only")
-    nx, nw, nb, sb = x.node, w.node, b.node, b.value.shape
-    xv = x.value if nw.needs_grad else None
-    wv = w.value if nx.needs_grad else None
-    h = x.value @ w.value
+    h = xv @ wv
     h += b.value
-    mask = None
-    if relu:
-        mask = h > 0.0
-        h *= mask
-
-    def back(g):
-        if mask is not None:
-            g = g * mask
-        if nx.needs_grad:
-            _acc(nx, g @ wv.T)
-        if nw.needs_grad:
-            _acc(nw, xv.T @ g)
-        _acc(nb, _unbroadcast(g, sb))
-
-    return Tensor(h, (nx, nw, nb), back)
+    if not relu:
+        return _op(h, (x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                   (b, lambda g: _unbroadcast(g, sb)))
+    # no step runs before a node's vjps, so each masks g (the same product)
+    mask = h > 0.0
+    h *= mask
+    return _op(h, (x, lambda g: (g * mask) @ wv.T),
+               (w, lambda g: xv.T @ (g * mask)),
+               (b, lambda g: _unbroadcast(g * mask, sb)))
 
 
 def transpose(a):
     a = ensure(a)
-    na = a.node
-
-    def back(g):
-        _acc(na, g.T)
-
-    return Tensor(a.value.T, (na,), back)
+    return _op(a.value.T, (a, lambda g: g.T))
 
 
 def sigmoid(a):
     a = ensure(a)
-    na, x = a.node, a.value
+    x = a.value
     e = np.exp(-np.abs(x))
     s = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-    def back(g):
-        _acc(na, g * s * (1.0 - s))
-
-    return Tensor(s, (na,), back)
+    return _op(s, (a, lambda g: g * s * (1.0 - s)))
 
 
 def exp(a):
     a = ensure(a)
-    na, e = a.node, np.exp(a.value)
-
-    def back(g):
-        _acc(na, g * e)
-
-    return Tensor(e, (na,), back)
+    e = np.exp(a.value)
+    return _op(e, (a, lambda g: g * e))
 
 
 def log(a):
     a = ensure(a)
-    na, av = a.node, a.value
-
-    def back(g):
-        _acc(na, g / av)
-
-    return Tensor(np.log(av), (na,), back)
+    av = a.value
+    return _op(np.log(av), (a, lambda g: g / av))
 
 
 def sqrt(a):
     a = ensure(a)
-    na, r = a.node, np.sqrt(a.value)
-
-    def back(g):
-        _acc(na, g * 0.5 / np.maximum(r, SQRT_GRAD_FLOOR))
-
-    return Tensor(r, (na,), back)
+    r = np.sqrt(a.value)
+    return _op(r, (a, lambda g: g * 0.5 / np.maximum(r, SQRT_GRAD_FLOOR)))
 
 
 def square(a):
     a = ensure(a)
-    na, av = a.node, a.value
-
-    def back(g):
-        _acc(na, g * 2.0 * av)
-
-    return Tensor(av * av, (na,), back)
+    av = a.value
+    return _op(av * av, (a, lambda g: g * 2.0 * av))
 
 
 def tsum(a, axis=None):
     """The sum of every entry, or the sums along ``axis`` with that axis kept."""
     a = ensure(a)
-    na, shape = a.node, a.value.shape
-
-    def back(g):
-        _acc(na, np.broadcast_to(g, shape))
-
-    return Tensor(a.value.sum(axis=axis, keepdims=axis is not None), (na,), back)
+    shape = a.value.shape
+    return _op(a.value.sum(axis=axis, keepdims=axis is not None),
+               (a, lambda g: np.broadcast_to(g, shape)))
 
 
 def concat(tensors, axis=0):
     tensors = [ensure(t) for t in tensors]
-    nodes = tuple(t.node for t in tensors)
-    splits = np.cumsum([t.value.shape[axis] for t in tensors])[:-1]
-
-    def back(g):
-        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
-            _acc(node, piece)
-
-    return Tensor(np.concatenate([t.value for t in tensors], axis=axis),
-                  nodes, back)
+    value = np.concatenate([t.value for t in tensors], axis=axis)
+    # each operand's gradient is its slice of g, a view as np.split gives
+    cut = (slice(None),) * (axis % value.ndim)
+    ends = np.cumsum([0] + [t.value.shape[axis] for t in tensors]).tolist()
+    return _op(value, *[(t, lambda g, i=cut + (slice(lo, hi),): g[i])
+                        for t, lo, hi in zip(tensors, ends, ends[1:])])
 
 
 def gather_rows(a, idx):
     a = ensure(a)
-    na, shape = a.node, a.value.shape
-    idx = np.asarray(idx, dtype=np.intp)
+    shape, idx = a.value.shape, np.asarray(idx, dtype=np.intp)
 
-    def back(g):
+    def vjp(g):
         buf = np.zeros(shape)
         np.add.at(buf, idx, g)
-        _acc(na, buf)
+        return buf
 
-    return Tensor(a.value[idx], (na,), back)
+    return _op(a.value[idx], (a, vjp))
 
 
 def clip(a, lo, hi):
     a = ensure(a)
-    na, inside = a.node, (a.value >= lo) & (a.value <= hi)
-
-    def back(g):
-        _acc(na, g * inside)
-
-    return Tensor(np.clip(a.value, lo, hi), (na,), back)
+    inside = (a.value >= lo) & (a.value <= hi)
+    return _op(np.clip(a.value, lo, hi), (a, lambda g: g * inside))
 
 
 def clip_min(a, lo):
     a = ensure(a)
-    na, inside = a.node, a.value >= lo
-
-    def back(g):
-        _acc(na, g * inside)
-
-    return Tensor(np.maximum(a.value, lo), (na,), back)
+    inside = a.value >= lo
+    return _op(np.maximum(a.value, lo), (a, lambda g: g * inside))
 
 
 def inverse(a):
     """Matrix inverse by ``inv_small``'s pivoted Gauss-Jordan elimination;
     the caller bounds its size and conditioning."""
     a = ensure(a)
-    na, w = a.node, inv_small(a.value)
-
-    def back(g):
-        _acc(na, -(w.T @ g @ w.T))
-
-    return Tensor(w, (na,), back)
+    w = inv_small(a.value)
+    return _op(w, (a, lambda g: -(w.T @ g @ w.T)))
 
 
 def softmax_cross_entropy(logits, labels):
@@ -425,16 +336,15 @@ def softmax_cross_entropy(logits, labels):
         raise ContractError("softmax_cross_entropy expects (n, c) logits and n labels")
     if labels.size and (labels.min() < 0 or labels.max() >= v.shape[1]):
         raise ContractError("label out of range")
-    nl, rows = logits.node, np.arange(v.shape[0])
+    rows = np.arange(v.shape[0])
     top = v.max(axis=1, keepdims=True)
     shifted = v - top
     lse = np.log(np.exp(shifted).sum(axis=1)) + top[:, 0]
-    losses = lse - v[rows, labels]
 
-    def back(g):
+    def vjp(g):
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
         p[rows, labels] -= 1.0
-        _acc(nl, p * np.asarray(g)[:, None])
+        return p * np.asarray(g)[:, None]
 
-    return Tensor(losses, (nl,), back)
+    return _op(lse - v[rows, labels], (logits, vjp))

@@ -4,7 +4,7 @@ total = l_c + l_d + lambda1 * (l_r_source + l_r_target) + lambda2 * l_a
 
 All terms are built on the autodiff tape so gradients flow end to end,
 including through the adjacency construction and the propagation-matrix
-solve.
+inverse.
 """
 
 import warnings
@@ -111,12 +111,12 @@ def loss_alignment_one_t(z, labels, rz: ZPrototypes):
     (Euclidean distances, push normalized by present-count - 1)."""
     n = z.shape[0]
     if n == 0:
-        return ad.Tensor(0.0)
+        return ad.ensure(0.0)
     cols = np.flatnonzero(rz.present)
     if cols.size < 2:
         warnings.warn("fewer than 2 present z-prototypes; alignment loss is 0",
                       stacklevel=2)
-        return ad.Tensor(0.0)
+        return ad.ensure(0.0)
     protos = rz.means[cols]
     onehot = (np.asarray(labels)[:, None] == cols[None, :]).astype(np.float64)
     denom = np.maximum(cols.size - onehot.sum(axis=1), 1.0)[:, None]
@@ -130,7 +130,7 @@ def loss_attribute_t(ahat_rows, targets):
     must already be clamped away from {0, 1}."""
     targets = np.asarray(targets, dtype=np.float64)
     if targets.size == 0:
-        return ad.Tensor(0.0)
+        return ad.ensure(0.0)
     bce = -(targets * ad.log(ahat_rows) + (1.0 - targets) * ad.log(1.0 - ahat_rows))
     return ad.tsum(bce) / float(targets.size)
 
@@ -138,7 +138,7 @@ def loss_attribute_t(ahat_rows, targets):
 def loss_classifier_t(logits, labels):
     labels = np.asarray(labels, dtype=np.intp)
     if labels.size == 0:
-        return ad.Tensor(0.0)
+        return ad.ensure(0.0)
     return ad.tsum(ad.softmax_cross_entropy(logits, labels)) / float(labels.size)
 
 
@@ -217,7 +217,7 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
             tape_forward_d_logits(pt, joint_rows(groups[2:])),
             np.repeat([0, 0, 1], [seen.size, seen.size, unseen.size]))
     else:
-        l_d = ad.Tensor(0.0)
+        l_d = ad.ensure(0.0)
 
     # structure-preserving partial alignment
     if cfg.use_lr and rz is not None:
@@ -225,8 +225,8 @@ def batch_objective(params: ModelParams, batch: TrainBatch,
         l_rt = loss_alignment_one_t(ad.gather_rows(z, np.arange(ns, n)),
                                     batch.t_pseudo, rz)
     else:
-        l_rs = ad.Tensor(0.0)
-        l_rt = ad.Tensor(0.0)
+        l_rs = ad.ensure(0.0)
+        l_rt = ad.ensure(0.0)
 
     # attribute BCE over source + pseudo-seen target
     l_a = loss_attribute_t(ad.concat([ahat_s, ahat_seen], axis=0),

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,14 +140,16 @@ def test_constants_stay_off_the_tape():
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     c = ad.ensure(a)
     t = ad.Tensor(b)
-    assert not c.needs_grad and c.node.parents == () and t.needs_grad
+    assert not c.needs_grad and c.node.edges == () and t.needs_grad
     out = ad.matmul(c, t)
+    # the constant is no edge of the product: only the leaf's node is
+    assert [parent for parent, _ in out.node.edges] == [t.node]
     ad.tsum(out).backward()
     assert c.grad is None
     assert np.array_equal(t.grad, a.T @ np.ones((3, 2)))
     # a subgraph built only from constants needs no gradient and keeps no tape
     k = ad.exp(ad.ensure(a)) * ad.ensure(a) + 1.0
-    assert not k.needs_grad and k.node.parents == () and k.node.backward is None
+    assert not k.needs_grad and k.node.edges == ()
     mixed = ad.tsum(ad.concat([k, ad.Tensor(a)], axis=0))
     assert mixed.needs_grad
     mixed.backward()
@@ -318,9 +323,10 @@ def test_backward_consumes_the_tape():
     root, w, c, inner = consumable_graph()
     root.backward()
     for t in inner:
-        assert t.grad is None and t.node.parents == ()
+        assert t.grad is None and t.node.edges is None
+        # a new graph through the consumed node refuses to differentiate
         with pytest.raises(ContractError, match="consumed tape"):
-            t.node.backward(np.ones_like(t.value))
+            ad.tsum(t * 1.0).backward()
     # the leaf keeps its gradient, the constant gets none
     assert w.grad is not None and w.grad.shape == (3, 2)
     assert c.grad is None
@@ -374,16 +380,48 @@ DIFFERENTIABLE_OPS = {
 
 @pytest.mark.parametrize("op", sorted(DIFFERENTIABLE_OPS))
 def test_no_backward_closure_holds_a_tensor(op):
-    # a closure that held a parent Tensor would keep its value alive for as
-    # long as the tape, whether or not the backward reads it
+    # a vjp that held an operand Tensor would keep its value alive for as
+    # long as the tape, whether or not the vjp reads it
     out = DIFFERENTIABLE_OPS[op]()
-    assert out.needs_grad and out.node.backward.__closure__
-    stack = [cell.cell_contents for cell in out.node.backward.__closure__]
+    assert out.needs_grad and out.node.edges
+    stack = [vjp for _, vjp in out.node.edges]
     while stack:
         obj = stack.pop()
         if isinstance(obj, (tuple, list)):
             stack.extend(obj)
-        assert not isinstance(obj, ad.Tensor), f"{op}'s backward holds a Tensor"
+        elif inspect.isfunction(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        assert not isinstance(obj, ad.Tensor), f"{op}'s vjp holds a Tensor"
+
+
+def test_every_public_op_is_walked():
+    public = {name for name, f in vars(ad).items()
+              if inspect.isfunction(f) and f.__module__ == ad.__name__
+              and not name.startswith("_")}
+    assert public - {"ensure"} <= set(DIFFERENTIABLE_OPS)
+
+
+def _scope_of_each(tree, node_type):
+    """(name of the top-level def or class around it, node) for each node."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, node_type):
+                yield getattr(top, "name", None), node
+
+
+def test_one_owner_of_the_gradient_rule():
+    """Only _op decides which operands get an edge: no op reads needs_grad,
+    and no Tensor is built with edges elsewhere."""
+    tree = ast.parse(Path(ad.__file__).read_text())
+    readers = {scope for scope, node in _scope_of_each(tree, ast.Attribute)
+               if node.attr == "needs_grad"}
+    assert readers <= {"_Node", "Tensor", "_op"}, readers
+    builders = {scope for scope, call in _scope_of_each(tree, ast.Call)
+                if isinstance(call.func, ast.Name) and call.func.id == "Tensor"
+                and (len(call.args) > 1
+                     or any(k.arg == "edges" for k in call.keywords))}
+    assert builders <= {"_op"}, builders
 
 
 def test_a_value_no_backward_reads_is_freed_before_backward():
